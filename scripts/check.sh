@@ -37,7 +37,10 @@
 #                                 (query_test, query_demand_test): the
 #                                 per-predicate atom index and the
 #                                 planner's prepared-database reloads are
-#                                 raw offset arithmetic over flat arrays
+#                                 raw offset arithmetic over flat arrays —
+#                                 plus the text parser (lang_test,
+#                                 fuzz_test): the streaming tokenizer
+#                                 indexes raw bytes of untrusted text
 #   scripts/check.sh --ubsan      builds with -DTIEBREAK_SANITIZE=undefined
 #                                 into build-ubsan/ and runs the resource-
 #                                 governance surface (fault sweep, context
@@ -51,7 +54,8 @@
 #                                 header bit-packing, float activity
 #                                 punning and literal casts must stay
 #                                 UB-free — plus the demand-driven query
-#                                 path (query_test, query_demand_test)
+#                                 path (query_test, query_demand_test) and
+#                                 the text parser (lang_test, fuzz_test)
 #   scripts/check.sh --docs       only the docs checks: broken relative
 #                                 links in *.md, and public-header
 #                                 declarations without a doc comment
@@ -162,10 +166,10 @@ if [[ "${1:-}" == "--asan" ]]; then
     --target ground_test ground_csr_test core_semantics_test \
              fault_injection_test interpreter_parallel_test storage_test \
              storage_corruption_test workload_test sat_test query_test \
-             query_demand_test
+             query_demand_test lang_test fuzz_test
   ASAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
     --output-on-failure \
-    -R '^(ground_(csr_)?test|core_semantics_test|fault_injection_test|interpreter_parallel_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test)$'
+    -R '^(ground_(csr_)?test|core_semantics_test|fault_injection_test|interpreter_parallel_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test)$'
   echo "check.sh: asan green"
   exit 0
 fi
@@ -177,10 +181,11 @@ if [[ "${1:-}" == "--ubsan" ]]; then
     --target fault_injection_test execution_context_test engine_test \
              ground_test ground_csr_test interpreter_parallel_test \
              reductions_test storage_test storage_corruption_test \
-             workload_test sat_test query_test query_demand_test
+             workload_test sat_test query_test query_demand_test lang_test \
+             fuzz_test
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
     --output-on-failure \
-    -R '^(fault_injection_test|execution_context_test|engine_test|ground_(csr_)?test|interpreter_parallel_test|reductions_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test)$'
+    -R '^(fault_injection_test|execution_context_test|engine_test|ground_(csr_)?test|interpreter_parallel_test|reductions_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test)$'
   echo "check.sh: ubsan green"
   exit 0
 fi

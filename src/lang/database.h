@@ -59,7 +59,9 @@ class Database {
                                      int32_t num_constants);
 
   /// Inserts a fact; duplicate inserts are no-ops. Arity is CHECKed.
-  /// O(relation size) per call — intended for small/interactive loads.
+  /// Remains O(relation size) per call (it shifts the sorted arena's tail),
+  /// so n inserts cost O(n²): meant for small/interactive loads only. Bulk
+  /// sources — the text parser, the generators — go through BulkLoadFlat.
   void Insert(PredId predicate, Tuple tuple);
 
   /// Streaming-append path for large relations: takes the rows in one flat

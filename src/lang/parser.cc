@@ -1,15 +1,14 @@
 #include "lang/parser.h"
 
-#include <cctype>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace tiebreak {
 
 namespace {
 
+// A token is a view into the source text: copying one allocates nothing.
 struct Token {
   enum class Kind {
     kIdent,
@@ -20,16 +19,17 @@ struct Token {
     kImplies,  // ":-"
     kBang,     // "!"
     kEnd,
+    kError,  // a lexical error; the message is Parser::lex_error_
   };
   Kind kind = Kind::kEnd;
-  std::string text;
+  std::string_view text;  // the identifier's bytes (kIdent only)
   int line = 0;
 };
 
 std::string Describe(const Token& token) {
   switch (token.kind) {
     case Token::Kind::kIdent:
-      return "identifier '" + token.text + "'";
+      return "identifier '" + std::string(token.text) + "'";
     case Token::Kind::kLParen:
       return "'('";
     case Token::Kind::kRParen:
@@ -44,100 +44,48 @@ std::string Describe(const Token& token) {
       return "'!'";
     case Token::Kind::kEnd:
       return "end of input";
+    case Token::Kind::kError:
+      return "invalid input";
   }
   return "?";
 }
 
-bool IsIdentStart(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+// ASCII letters, digits and '_' (what <cctype> accepts in the C locale).
 bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_';
 }
 
-Status Tokenize(std::string_view text, std::vector<Token>* out) {
-  int line = 1;
-  size_t i = 0;
-  while (i < text.size()) {
-    const char c = text[i];
-    if (c == '\n') {
-      ++line;
-      ++i;
-      continue;
-    }
-    if (c == ' ' || c == '\t' || c == '\r') {
-      ++i;
-      continue;
-    }
-    if (c == '%') {  // comment to end of line
-      while (i < text.size() && text[i] != '\n') ++i;
-      continue;
-    }
-    if (c == '(') {
-      out->push_back({Token::Kind::kLParen, "(", line});
-      ++i;
-      continue;
-    }
-    if (c == ')') {
-      out->push_back({Token::Kind::kRParen, ")", line});
-      ++i;
-      continue;
-    }
-    if (c == ',') {
-      out->push_back({Token::Kind::kComma, ",", line});
-      ++i;
-      continue;
-    }
-    if (c == '.') {
-      out->push_back({Token::Kind::kPeriod, ".", line});
-      ++i;
-      continue;
-    }
-    if (c == '!') {
-      out->push_back({Token::Kind::kBang, "!", line});
-      ++i;
-      continue;
-    }
-    if (c == ':') {
-      if (i + 1 < text.size() && text[i + 1] == '-') {
-        out->push_back({Token::Kind::kImplies, ":-", line});
-        i += 2;
-        continue;
-      }
-      return Status::InvalidArgument("line " + std::to_string(line) +
-                                     ": expected ':-'");
-    }
-    if (IsIdentStart(c)) {
-      size_t j = i;
-      while (j < text.size() && IsIdentChar(text[j])) ++j;
-      out->push_back(
-          {Token::Kind::kIdent, std::string(text.substr(i, j - i)), line});
-      i = j;
-      continue;
-    }
-    return Status::InvalidArgument("line " + std::to_string(line) +
-                                   ": unexpected character '" +
-                                   std::string(1, c) + "'");
-  }
-  out->push_back({Token::Kind::kEnd, "", line});
-  return Status::Ok();
-}
-
-bool IsVariableName(const std::string& name) {
+bool IsVariableName(std::string_view name) {
   return !name.empty() &&
-         (name[0] == '_' || std::isupper(static_cast<unsigned char>(name[0])));
+         (name[0] == '_' || (name[0] >= 'A' && name[0] <= 'Z'));
 }
 
-// Shared recursive-descent machinery for programs and databases.
+// Shared recursive-descent machinery for programs, databases and patterns.
+// The tokenizer is a cursor over the text that scans one token ahead, so a
+// parse holds one token at a time whatever the input size. A lexical error
+// becomes a kError token that the parser reports when it reaches it: the
+// earliest error in the text wins, lexical or syntactic.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, Program* program)
-      : tokens_(std::move(tokens)), program_(program) {}
+  Parser(std::string_view text, Program* program)
+      : text_(text), program_(program) {
+    Scan();
+  }
 
-  const Token& Peek() const { return tokens_[pos_]; }
-  Token Take() { return tokens_[pos_++]; }
+  const Token& Peek() const { return token_; }
+  // At the end of the text or at a lexical error, scanning again yields the
+  // same token.
+  Token Take() {
+    const Token token = token_;
+    Scan();
+    return token;
+  }
 
   Status Fail(const std::string& expected) const {
+    if (Peek().kind == Token::Kind::kError) {
+      return Status::InvalidArgument(lex_error_);
+    }
     return Status::InvalidArgument("line " + std::to_string(Peek().line) +
                                    ": expected " + expected + ", found " +
                                    Describe(Peek()));
@@ -149,37 +97,37 @@ class Parser {
     return Status::Ok();
   }
 
-  // Parses `pred` or `pred(t1, ..., tn)`. Declares the predicate on first
-  // use. When `ground_only`, variables are rejected.
-  Status ParseAtom(Atom* atom,
-                   std::unordered_map<std::string, int32_t>* variables,
-                   std::vector<std::string>* variable_names, bool ground_only) {
+  // Parses `pred` or `pred(t1, ..., tn)` into `*predicate` and `*args`
+  // (cleared first, so callers may reuse one scratch row). Declares the
+  // predicate on first use. Variables are numbered by first occurrence in
+  // `*variable_names`; when it is null the atom must be ground.
+  Status ParseAtom(PredId* predicate, std::vector<Term>* args,
+                   std::vector<std::string>* variable_names) {
     if (Peek().kind != Token::Kind::kIdent) return Fail("a predicate name");
     const Token name = Take();
     if (name.text == "not") {
       return Status::InvalidArgument("line " + std::to_string(name.line) +
                                      ": 'not' is a keyword, not a predicate");
     }
-    std::vector<Term> args;
+    args->clear();
     if (Peek().kind == Token::Kind::kLParen) {
       Take();
       while (true) {
         if (Peek().kind != Token::Kind::kIdent) return Fail("a term");
-        const Token term_token = Take();
-        if (IsVariableName(term_token.text)) {
-          if (ground_only) {
-            return Status::InvalidArgument(
-                "line " + std::to_string(term_token.line) +
-                ": variable '" + term_token.text +
-                "' not allowed in a ground fact");
-          }
-          auto [it, inserted] = variables->emplace(
-              term_token.text, static_cast<int32_t>(variables->size()));
-          if (inserted) variable_names->push_back(term_token.text);
-          args.push_back(Term::Variable(it->second));
+        const Token term = Take();
+        if (!IsVariableName(term.text)) {
+          args->push_back(Term::Constant(program_->InternConstant(term.text)));
+        } else if (variable_names == nullptr) {
+          return Status::InvalidArgument(
+              "line " + std::to_string(term.line) + ": variable '" +
+              std::string(term.text) + "' not allowed in a ground fact");
         } else {
-          args.push_back(
-              Term::Constant(program_->InternConstant(term_token.text)));
+          // Rules have a handful of variables: a linear scan beats a map.
+          std::vector<std::string>& names = *variable_names;
+          size_t v = 0;
+          while (v < names.size() && names[v] != term.text) ++v;
+          if (v == names.size()) names.emplace_back(term.text);
+          args->push_back(Term::Variable(static_cast<int32_t>(v)));
         }
         if (Peek().kind == Token::Kind::kComma) {
           Take();
@@ -191,32 +139,25 @@ class Parser {
       if (!s.ok()) return s;
     }
 
-    const int32_t arity = static_cast<int32_t>(args.size());
-    const PredId existing = program_->LookupPredicate(name.text);
-    PredId pred;
-    if (existing >= 0) {
-      pred = existing;
-      if (program_->predicate(pred).arity != arity) {
-        std::ostringstream msg;
-        msg << "line " << name.line << ": predicate " << name.text
-            << " used with arity " << arity << " but previously had arity "
-            << program_->predicate(pred).arity;
-        return Status::InvalidArgument(msg.str());
-      }
-    } else {
-      pred = program_->DeclarePredicate(name.text, arity);
+    const int32_t arity = static_cast<int32_t>(args->size());
+    // Declares with this arity, or finds the predicate with its first one.
+    *predicate = program_->DeclarePredicate(name.text, arity);
+    const int32_t declared = program_->predicate(*predicate).arity;
+    if (declared != arity) {
+      std::ostringstream msg;
+      msg << "line " << name.line << ": predicate " << name.text
+          << " used with arity " << arity << " but previously had arity "
+          << declared;
+      return Status::InvalidArgument(msg.str());
     }
-    atom->predicate = pred;
-    atom->args = std::move(args);
     return Status::Ok();
   }
 
   // Parses one `head [:- body].` statement into `rule`.
   Status ParseRule(Rule* rule) {
-    std::unordered_map<std::string, int32_t> variables;
     rule->variable_names.clear();
-    Status s = ParseAtom(&rule->head, &variables, &rule->variable_names,
-                         /*ground_only=*/false);
+    Status s = ParseAtom(&rule->head.predicate, &rule->head.args,
+                         &rule->variable_names);
     if (!s.ok()) return s;
     if (Peek().kind == Token::Kind::kImplies) {
       Take();
@@ -231,8 +172,8 @@ class Parser {
           Take();
           literal.positive = false;
         }
-        s = ParseAtom(&literal.atom, &variables, &rule->variable_names,
-                      /*ground_only=*/false);
+        s = ParseAtom(&literal.atom.predicate, &literal.atom.args,
+                      &rule->variable_names);
         if (!s.ok()) return s;
         rule->body.push_back(std::move(literal));
         if (Peek().kind == Token::Kind::kComma) {
@@ -242,88 +183,154 @@ class Parser {
         break;
       }
     }
-    rule->num_variables = static_cast<int32_t>(variables.size());
+    rule->num_variables = static_cast<int32_t>(rule->variable_names.size());
     return Expect(Token::Kind::kPeriod, "'.' at end of rule");
   }
 
  private:
-  std::vector<Token> tokens_;
+  // Skips whitespace and comments, then scans the next token into token_.
+  void Scan() {
+    const size_t size = text_.size();
+    while (pos_ < size) {
+      const char c = text_[pos_];
+      if (c == '\n') {
+        ++line_;
+      } else if (c == '%') {  // comment to end of line
+        const size_t newline = text_.find('\n', pos_);
+        pos_ = newline == std::string_view::npos ? size : newline;
+        continue;
+      } else if (c != ' ' && c != '\t' && c != '\r') {
+        break;
+      }
+      ++pos_;
+    }
+    token_.line = line_;
+    token_.text = {};
+    if (pos_ == size) {
+      token_.kind = Token::Kind::kEnd;
+      return;
+    }
+    const char c = text_[pos_];
+    switch (c) {
+      case '(':
+        return Punctuation(Token::Kind::kLParen, 1);
+      case ')':
+        return Punctuation(Token::Kind::kRParen, 1);
+      case ',':
+        return Punctuation(Token::Kind::kComma, 1);
+      case '.':
+        return Punctuation(Token::Kind::kPeriod, 1);
+      case '!':
+        return Punctuation(Token::Kind::kBang, 1);
+      case ':':
+        if (pos_ + 1 < size && text_[pos_ + 1] == '-') {
+          return Punctuation(Token::Kind::kImplies, 2);
+        }
+        return LexError("expected ':-'");
+      default:
+        break;
+    }
+    if (!IsIdentChar(c)) {
+      return LexError("unexpected character '" + std::string(1, c) + "'");
+    }
+    const size_t start = pos_;
+    while (pos_ < size && IsIdentChar(text_[pos_])) ++pos_;
+    token_.kind = Token::Kind::kIdent;
+    token_.text = text_.substr(start, pos_ - start);
+  }
+
+  void Punctuation(Token::Kind kind, size_t length) {
+    token_.kind = kind;
+    pos_ += length;
+  }
+
+  void LexError(const std::string& message) {
+    token_.kind = Token::Kind::kError;
+    lex_error_ = "line " + std::to_string(line_) + ": " + message;
+  }
+
+  std::string_view text_;
   size_t pos_ = 0;
+  int line_ = 1;
+  Token token_;
+  std::string lex_error_;
   Program* program_;
 };
 
 }  // namespace
 
 Result<Program> ParseProgram(std::string_view text) {
-  std::vector<Token> tokens;
-  Status s = Tokenize(text, &tokens);
-  if (!s.ok()) return s;
-
   Program program;
-  Parser parser(std::move(tokens), &program);
+  Parser parser(text, &program);
   while (parser.Peek().kind != Token::Kind::kEnd) {
     Rule rule;
-    s = parser.ParseRule(&rule);
+    Status s = parser.ParseRule(&rule);
     if (!s.ok()) return s;
     program.AddRule(std::move(rule));
   }
-  s = program.Validate();
+  Status s = program.Validate();
   if (!s.ok()) return s;
   return program;
 }
 
 Result<Database> ParseDatabase(std::string_view text, Program* program) {
-  std::vector<Token> tokens;
-  Status s = Tokenize(text, &tokens);
-  if (!s.ok()) return s;
-
-  Parser parser(std::move(tokens), program);
-  // Collect facts first: implicit predicate declarations must all land in
-  // `program` before the Database snapshot of arities is taken.
-  std::vector<std::pair<PredId, Tuple>> facts;
+  Parser parser(text, program);
+  // Each fact's ids go to a flat row-major bucket of its predicate; the
+  // buckets are bulk loaded once at the end, where BulkLoadFlat sorts and
+  // dedupes each in one pass (per-fact Insert would shift the relation's
+  // tail on every fact). Loading last also lets every implicit predicate
+  // declaration land in `program` before the Database takes its arities.
+  std::vector<std::vector<ConstId>> buckets(program->num_predicates());
+  std::vector<bool> has_facts(program->num_predicates());
+  std::vector<Term> row;  // scratch, reused by every fact
   while (parser.Peek().kind != Token::Kind::kEnd) {
-    Atom atom;
-    std::unordered_map<std::string, int32_t> no_vars;
-    std::vector<std::string> no_names;
-    s = parser.ParseAtom(&atom, &no_vars, &no_names, /*ground_only=*/true);
+    PredId pred;
+    Status s = parser.ParseAtom(&pred, &row, /*variable_names=*/nullptr);
     if (!s.ok()) return s;
     s = parser.Expect(Token::Kind::kPeriod, "'.' at end of fact");
     if (!s.ok()) return s;
-    Tuple tuple;
-    tuple.reserve(atom.args.size());
-    for (const Term& term : atom.args) tuple.push_back(term.index);
-    facts.emplace_back(atom.predicate, std::move(tuple));
+    if (pred >= static_cast<PredId>(buckets.size())) {
+      buckets.resize(pred + 1);
+      has_facts.resize(pred + 1);
+    }
+    has_facts[pred] = true;
+    for (const Term& term : row) buckets[pred].push_back(term.index);
   }
 
   Database database(*program);
-  for (auto& [pred, tuple] : facts) database.Insert(pred, std::move(tuple));
+  for (PredId p = 0; p < static_cast<PredId>(buckets.size()); ++p) {
+    if (!has_facts[p]) continue;
+    if (database.arity(p) == 0) {
+      database.InsertProposition(p);
+    } else {
+      database.BulkLoadFlat(p, std::move(buckets[p]));
+    }
+  }
   return database;
 }
 
 Result<AtomPattern> ParseAtomPattern(std::string_view text,
                                      Program* program) {
-  std::vector<Token> tokens;
-  Status s = Tokenize(text, &tokens);
-  if (!s.ok()) return s;
-
+  Parser parser(text, program);
   // Reject unknown predicates before ParseAtom runs: ParseAtom declares
   // predicates on first use (the program-parsing behavior), and a pattern
   // must never mutate the caller's predicate table — especially not on an
   // error path.
-  if (tokens.empty() || tokens.front().kind != Token::Kind::kIdent) {
+  if (parser.Peek().kind == Token::Kind::kError) {
+    return parser.Fail("a predicate name");
+  }
+  if (parser.Peek().kind != Token::Kind::kIdent) {
     return Status::InvalidArgument("expected a predicate name in pattern: " +
                                    std::string(text));
   }
-  if (program->LookupPredicate(tokens.front().text) < 0) {
+  if (program->LookupPredicate(parser.Peek().text) < 0) {
     return Status::InvalidArgument("unknown predicate '" +
-                                   tokens.front().text +
+                                   std::string(parser.Peek().text) +
                                    "' in query pattern: " + std::string(text));
   }
-  Parser parser(std::move(tokens), program);
   AtomPattern pattern;
-  std::unordered_map<std::string, int32_t> variables;
-  s = parser.ParseAtom(&pattern.atom, &variables, &pattern.variable_names,
-                       /*ground_only=*/false);
+  Status s = parser.ParseAtom(&pattern.atom.predicate, &pattern.atom.args,
+                              &pattern.variable_names);
   if (!s.ok()) return s;
   if (parser.Peek().kind == Token::Kind::kPeriod) parser.Take();
   if (parser.Peek().kind != Token::Kind::kEnd) {

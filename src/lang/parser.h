@@ -18,6 +18,15 @@
 //
 // Facts may mention predicates unknown to the program; those are implicitly
 // declared (with the observed arity) and are EDB by construction.
+//
+// All three entry points read the text through one streaming tokenizer: a
+// cursor that scans a token only when the parser asks for it, so no token
+// list is built and no token owns a string. Errors: malformed input fails
+// with INVALID_ARGUMENT and a message starting "line N:", where N is the
+// line of the *earliest* error in the text, lexical or syntactic — a
+// syntax error on line 2 is reported ahead of a bad character on line 5.
+// (Before the tokenizer streamed, every lexical error anywhere in the text
+// was reported first.)
 #ifndef TIEBREAK_LANG_PARSER_H_
 #define TIEBREAK_LANG_PARSER_H_
 
@@ -35,7 +44,12 @@ Result<Program> ParseProgram(std::string_view text);
 
 /// Parses a database of ground facts against `program`, implicitly declaring
 /// unknown predicates (which therefore become EDB). `program` is mutated
-/// only by interning constants / declaring new predicates.
+/// only by interning constants / declaring new predicates, in order of
+/// first occurrence in the text; on an error, the names of the facts before
+/// it stay interned. One linear pass: each fact's ids are appended to a
+/// flat bucket of its predicate, and every bucket is bulk loaded
+/// (Database::BulkLoadFlat) at the end. The result equals a Database built
+/// by one Insert per fact.
 Result<Database> ParseDatabase(std::string_view text, Program* program);
 
 /// A single parsed atom with variables, for queries (core/query.h).

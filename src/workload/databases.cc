@@ -66,20 +66,8 @@ Result<Database> RandomDigraphDatabase(Program* program,
                                        const std::string& relation,
                                        int32_t num_nodes, int32_t num_edges,
                                        Rng* rng) {
-  Status s = RequirePositive("num_nodes", num_nodes);
-  if (!s.ok()) return s;
-  s = RequireNonNegative("num_edges", num_edges);
-  if (!s.ok()) return s;
-  const std::vector<ConstId> nodes = InternNodes(program, num_nodes);
-  Result<PredId> pred = RequireArity(program, relation, 2);
-  if (!pred.ok()) return pred.status();
-  Database database(*program);
-  for (int32_t e = 0; e < num_edges; ++e) {
-    const ConstId from = nodes[rng->Below(num_nodes)];
-    const ConstId to = nodes[rng->Below(num_nodes)];
-    database.Insert(*pred, {from, to});
-  }
-  return database;
+  return LargeRandomDigraphDatabase(program, relation, num_nodes, num_edges,
+                                    rng);
 }
 
 Result<Database> ChainDatabase(Program* program, const std::string& relation,

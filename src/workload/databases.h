@@ -22,7 +22,9 @@ namespace tiebreak {
 /// Node constants are named "n0", "n1", ... and interned into `program`.
 
 /// A database whose binary relation `relation` is a random digraph with
-/// `num_nodes` nodes and `num_edges` edges (duplicates collapse).
+/// `num_nodes` nodes and `num_edges` edges (duplicates collapse). Shares
+/// LargeRandomDigraphDatabase's body: the same draws give the same
+/// database, bulk loaded in one pass.
 Result<Database> RandomDigraphDatabase(Program* program,
                                        const std::string& relation,
                                        int32_t num_nodes, int32_t num_edges,

@@ -117,9 +117,18 @@ TEST(ParserFuzzTest, DatabaseFuzz) {
     ASSERT_TRUE(program.ok());
     Program prog = std::move(*program);
     Result<Database> db = ParseDatabase(input, &prog);  // must not crash
-    if (db.ok()) {
-      EXPECT_GE(db->TotalFacts(), 0);
+    if (!db.ok()) {
+      EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument) << input;
+      continue;
     }
+    // Whatever parsed prints and parses back to the same database, into a
+    // copy of the program that already knows every name.
+    Program copy = prog;
+    Result<Database> again =
+        ParseDatabase(DatabaseToString(prog, *db), &copy);
+    ASSERT_TRUE(again.ok()) << input << ": " << again.status().ToString();
+    EXPECT_TRUE(*again == *db) << input;
+    EXPECT_EQ(copy.num_constants(), prog.num_constants()) << input;
   }
 }
 

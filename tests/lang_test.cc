@@ -1,7 +1,9 @@
 // Tests for the language layer: parsing, printing (round-trips), program
 // validation, EDB/IDB classification, databases, skeletons / alphabetic
 // variants, and the program graph G(Π).
+#include <map>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "lang/database.h"
@@ -10,6 +12,7 @@
 #include "lang/program.h"
 #include "lang/program_graph.h"
 #include "lang/skeleton.h"
+#include "util/random.h"
 
 namespace tiebreak {
 namespace {
@@ -204,6 +207,128 @@ TEST(DatabaseTest, BulkLoadMatchesPerTupleInsert) {
   bulk.BulkLoad(e, std::move(batch2));  // second load merges into non-empty
   EXPECT_TRUE(bulk == reference);
   EXPECT_EQ(bulk.TotalFacts(), reference.TotalFacts());
+}
+
+// Differential test of ParseDatabase against one Insert per fact: seeded
+// random texts over arities 0-3 with duplicate facts, interleaved and
+// out-of-order predicates, '%' comments, CRLF line ends, and predicates
+// first seen in the database. The expected ids are computed here from
+// first occurrence, independently of the symbol table.
+TEST(DatabaseTest, ParseMatchesPerFactInsert) {
+  struct Pred {
+    const char* name;
+    int arity;
+  };
+  // e/2, q/3 and s/0 are declared by the program; the rest are new.
+  const std::vector<Pred> preds = {{"e", 2}, {"q", 3}, {"s", 0}, {"u", 1},
+                                   {"w", 3}, {"r", 0}, {"v", 2}};
+  const std::vector<std::string> gaps = {" ", "\n", "\r\n", "\t",
+                                         " % note (a, b).\r\n", "\n%\n"};
+  Rng rng(0xDB5E);
+  for (int round = 0; round < 60; ++round) {
+    Program program = MustParse("p(X) :- e(X, Y), not q(X, Y, Y), s.");
+    const int32_t base_constants = program.num_constants();
+    const int32_t base_predicates = program.num_predicates();
+
+    std::string text;
+    std::vector<std::pair<const Pred*, std::vector<std::string>>> facts;
+    const int count = 1 + static_cast<int>(rng.Below(120));
+    for (int f = 0; f < count; ++f) {
+      const Pred& pred = preds[rng.Below(preds.size())];
+      std::vector<std::string> args;
+      text += pred.name;
+      if (pred.arity > 0) text += "(";
+      for (int a = 0; a < pred.arity; ++a) {
+        args.push_back((rng.Below(2) ? "c" : "") +
+                       std::to_string(rng.Below(15)));
+        text += (a > 0 ? ", " : "") + args.back();
+      }
+      if (pred.arity > 0) text += ")";
+      text += "." + gaps[rng.Below(gaps.size())];
+      facts.emplace_back(&pred, std::move(args));
+    }
+
+    Result<Database> parsed = ParseDatabase(text, &program);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+
+    // Ids in order of first occurrence: constants after the program's own,
+    // new predicates after the program's own.
+    std::map<std::string, ConstId> constant_ids;
+    std::map<std::string, PredId> pred_ids = {{"p", 0}, {"e", 1},
+                                              {"q", 2}, {"s", 3}};
+    for (const auto& [pred, args] : facts) {
+      for (const std::string& arg : args) {
+        const ConstId next = base_constants +
+                             static_cast<ConstId>(constant_ids.size());
+        constant_ids.emplace(arg, next);
+      }
+      pred_ids.emplace(pred->name, static_cast<PredId>(pred_ids.size()));
+    }
+    ASSERT_EQ(base_predicates, 4);
+    ASSERT_EQ(program.num_constants(),
+              base_constants + static_cast<int32_t>(constant_ids.size()));
+    ASSERT_EQ(program.num_predicates(), static_cast<int32_t>(pred_ids.size()));
+
+    Database reference(program);
+    for (const auto& [pred, args] : facts) {
+      Tuple tuple;
+      for (const std::string& arg : args) tuple.push_back(constant_ids[arg]);
+      reference.Insert(pred_ids[pred->name], std::move(tuple));
+    }
+    EXPECT_TRUE(*parsed == reference) << text;
+
+    // A copy must resolve every name on its own once the original is gone:
+    // the symbol index may not point into the source program's strings.
+    Program copy = program;
+    program = Program();
+    for (const auto& [name, id] : constant_ids) {
+      EXPECT_EQ(copy.LookupConstant(name), id) << name;
+      EXPECT_EQ(copy.constant_name(id), name);
+    }
+    for (const auto& [name, id] : pred_ids) {
+      EXPECT_EQ(copy.LookupPredicate(name), id) << name;
+    }
+    EXPECT_EQ(copy.LookupConstant("absent"), -1);
+  }
+}
+
+// Every malformed database fails with kInvalidArgument and the line of the
+// first error in the text, never an abort.
+void ExpectDatabaseErrorAtLine(const std::string& text, int line) {
+  Program program = MustParse("p(X) :- e(X, Y).");
+  Result<Database> db = ParseDatabase(text, &program);
+  ASSERT_FALSE(db.ok()) << text;
+  EXPECT_EQ(db.status().code(), StatusCode::kInvalidArgument) << text;
+  const std::string prefix = "line " + std::to_string(line) + ":";
+  EXPECT_EQ(db.status().message().rfind(prefix, 0), 0u)
+      << db.status().message() << "\n" << text;
+}
+
+TEST(DatabaseErrorTest, EarliestErrorWins) {
+  // A syntax error on line 2 is reported before a bad character on line 5.
+  ExpectDatabaseErrorAtLine("e(a, b).\ne(c, .\n\n\ne(d & f).\n", 2);
+  Result<Program> program = ParseProgram("p :- q.\nr :- .\n\n\ns & t.\n");
+  ASSERT_FALSE(program.ok());
+  EXPECT_EQ(program.status().message().rfind("line 2:", 0), 0u)
+      << program.status().message();
+  // A bad character before any syntax error still wins.
+  ExpectDatabaseErrorAtLine("e(a, b).\ne(c & d).\ne(c, .\n", 2);
+}
+
+TEST(DatabaseErrorTest, MalformedFactsReportTheirLine) {
+  ExpectDatabaseErrorAtLine("e(a, b).\ne(X, b).\n", 2);  // variable
+  ExpectDatabaseErrorAtLine("e(a, b).\ne(b, c).\ne(c).\ne(d, e).\n", 3);
+  ExpectDatabaseErrorAtLine("e(a, b)\r\ne(c, d).\n", 2);  // missing '.'
+  ExpectDatabaseErrorAtLine("e(a, b).\ne(c, d)", 2);      // ... at the end
+  ExpectDatabaseErrorAtLine("e(a, b).\ne(c, d) :\n", 2);  // dangling ':'
+  ExpectDatabaseErrorAtLine("e(a, b).\nnot(c).\n", 2);
+  std::string nul = "e(a, b).\n% comment\ne(b";
+  nul += '\0';
+  nul += ", c).\n";
+  ExpectDatabaseErrorAtLine(nul, 3);
+  ExpectDatabaseErrorAtLine("move(a,", 1);  // text ends mid-fact
+  ExpectDatabaseErrorAtLine("e(a, b).\n\nmove(a,", 3);
+  ExpectDatabaseErrorAtLine("e(a, b).\n\nmove(", 3);
 }
 
 // ---------------------------------------------------------------------------

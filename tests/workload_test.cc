@@ -1,9 +1,12 @@
 // Regression tests for workload generator argument validation: hostile or
 // nonsensical parameters must surface as kInvalidArgument, never abort the
-// process (these generators sit behind driver-facing tools and benches).
+// process (these generators sit behind driver-facing tools and benches);
+// and the bulk-loaded generators must build the same database as one
+// Insert per fact.
 #include "workload/databases.h"
 
 #include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "lang/program.h"
@@ -89,6 +92,40 @@ TEST(WorkloadValidationTest, ValidArgumentsStillGenerate) {
   Result<Database> empty = UnarySetDatabase(&program, "e", 0);
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty->TotalFacts(), 0);
+}
+
+TEST(WorkloadGeneratorTest, RandomDigraphsMatchPerEdgeInsert) {
+  const int32_t nodes = 50;
+  const int32_t edges = 300;  // enough draws to repeat some edges
+  for (uint64_t seed : {1u, 7u, 42u}) {
+    Program small_program;
+    Rng small_rng(seed);
+    Result<Database> small =
+        RandomDigraphDatabase(&small_program, "move", nodes, edges, &small_rng);
+    ASSERT_TRUE(small.ok());
+    Program large_program;
+    Rng large_rng(seed);
+    Result<Database> large = LargeRandomDigraphDatabase(
+        &large_program, "move", nodes, edges, &large_rng);
+    ASSERT_TRUE(large.ok());
+
+    // Reference: the same (from, to) draws, one ordered Insert per edge.
+    Program program;
+    for (int32_t i = 0; i < nodes; ++i) {
+      program.InternConstant("n" + std::to_string(i));
+    }
+    const PredId move = program.DeclarePredicate("move", 2);
+    Database reference(program);
+    Rng rng(seed);
+    for (int32_t e = 0; e < edges; ++e) {
+      const ConstId from = static_cast<ConstId>(rng.Below(nodes));
+      const ConstId to = static_cast<ConstId>(rng.Below(nodes));
+      reference.Insert(move, {from, to});
+    }
+    EXPECT_LT(reference.TotalFacts(), edges) << "seed " << seed;
+    EXPECT_TRUE(*small == reference) << "seed " << seed;
+    EXPECT_TRUE(*large == reference) << "seed " << seed;
+  }
 }
 
 }  // namespace
