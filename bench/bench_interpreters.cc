@@ -71,7 +71,7 @@ Board MakeRandomBoard(int n, uint64_t seed) {
 }
 
 // A million-node board: ~n win atoms + ~2n ground rules, with the random
-// digraph's many nontrivial SCCs driving the wave schedule. Bulk-loaded
+// digraph's many nontrivial SCCs plus a giant core. Bulk-loaded
 // EDB so board construction does not dominate the harness.
 Board MakeLargeRandomBoard(int n, uint64_t seed) {
   Program program = WinMoveProgram();
@@ -138,9 +138,8 @@ int Main(int argc, char** argv) {
         3));
   }
   {
-    // Million-node multi-SCC workloads: serial reference numbers for the
-    // SCC-scheduled interpreters (num_threads = 1 is the bit-identical
-    // serial path, and this container is single-core).
+    // Million-node multi-SCC workloads. These interpreters run serially
+    // at every thread count, so the rows are 1-thread numbers.
     const Board board = MakeLargeRandomBoard(400000, 23);
     results.push_back(Measure("close_winmove_random_400k", board,
                               [](const Board& b) {

@@ -10,17 +10,19 @@
 #                                 surface — the engine (engine_test,
 #                                 engine_parallel_test, engine_kernel_test),
 #                                 the parallel grounder (ground_test,
-#                                 ground_csr_test) and the SCC-scheduled
-#                                 parallel interpreters' atomic worklist
-#                                 (interpreter_parallel_test) — under
-#                                 ThreadSanitizer
+#                                 ground_csr_test) and the interpreters'
+#                                 fan-outs — the alternating fixpoint's
+#                                 rule-block sweeps and the completion
+#                                 encoder's clause blocks at {2, 8}
+#                                 threads (interpreter_parallel_test) —
+#                                 under ThreadSanitizer
 #   scripts/check.sh --asan       builds with -DTIEBREAK_SANITIZE=address
 #                                 into build-asan/ and runs the grounding
 #                                 pipeline surface (ground_test,
 #                                 ground_csr_test, core_semantics_test)
 #                                 plus the fault-injection sweep
-#                                 (fault_injection_test) and the parallel-
-#                                 interpreter agreement matrix
+#                                 (fault_injection_test) and the
+#                                 thread-count agreement matrix
 #                                 (interpreter_parallel_test) under
 #                                 AddressSanitizer — the CSR arenas and
 #                                 span accessors live or die by their
@@ -44,8 +46,8 @@
 #   scripts/check.sh --ubsan      builds with -DTIEBREAK_SANITIZE=undefined
 #                                 into build-ubsan/ and runs the resource-
 #                                 governance surface (fault sweep, context
-#                                 unit tests, engine, grounding, parallel
-#                                 interpreters, reductions)
+#                                 unit tests, engine, grounding, the
+#                                 interpreter agreement matrix, reductions)
 #                                 and the snapshot corruption sweep under
 #                                 UndefinedBehaviorSanitizer — the bytewise
 #                                 codec must stay free of misaligned loads

@@ -1,6 +1,5 @@
 #include "core/perfect_model.h"
 
-#include <atomic>
 #include <utility>
 
 #include "core/fixpoint.h"
@@ -9,7 +8,6 @@
 #include "graph/tie.h"
 #include "ground/ground_scc.h"
 #include "util/execution_context.h"
-#include "util/thread_pool.h"
 
 namespace tiebreak {
 
@@ -70,24 +68,8 @@ Result<InterpreterResult> PerfectModelGoverned(const Program& program,
                                                const Database& database,
                                                const GroundGraph& graph,
                                                ExecutionContext* context) {
-  return PerfectModelGoverned(program, database, graph,
-                              InterpreterOptions{1, context});
-}
-
-Result<InterpreterResult> PerfectModelGoverned(
-    const Program& program, const Database& database, const GroundGraph& graph,
-    const InterpreterOptions& options) {
-  const int32_t threads = ThreadPool::EffectiveThreads(options.num_threads);
-  ExecutionContext* context = options.context;
-  // Condense the full ground graph CSR-direct; the parallel path also needs
-  // the topological wave leveling.
-  SccSchedule schedule;
-  if (threads > 1) {
-    schedule = BuildSccSchedule(graph);
-  } else {
-    schedule.scc = ComputeGroundScc(graph);
-  }
-  const SccResult& scc = schedule.scc;
+  // Condense the full ground graph CSR-direct.
+  const SccResult scc = ComputeGroundScc(graph);
   if (HasNegativeIntraSccEdge(graph, scc)) {
     return Status::FailedPrecondition(
         "instance is not locally stratified: a ground SCC contains a "
@@ -114,114 +96,46 @@ Result<InterpreterResult> PerfectModelGoverned(
     rules_by_comp[scc.component[graph.HeadOf(r)]].push_back(r);
   }
 
-  if (threads == 1) {
-    bool tripped = false;
-    int32_t trip_comp = -1;
-    for (int32_t comp = scc.num_components - 1; comp >= 0 && !tripped;
-         --comp) {
-      const std::vector<int32_t>& rules = rules_by_comp[comp];
-      if (rules.empty()) continue;
-      // Least fixpoint within the component: negated atoms are in strictly
-      // earlier-processed components (local stratification), positive
-      // same-component atoms converge by iteration.
-      bool changed = true;
-      while (changed) {
-        ++result.iterations;
-        // One checkpoint per sweep; a trip abandons the run at this
-        // component.
-        if (context != nullptr &&
-            !context
-                 ->Checkpoint("perfect_model",
-                              static_cast<int64_t>(rules.size()))
-                 .ok()) {
-          tripped = true;
-          trip_comp = comp;
-          break;
-        }
-        changed = false;
-        for (int32_t r : rules) {
-          const AtomId head = graph.HeadOf(r);
-          if (values[head] == Truth::kTrue) continue;
-          if (BodyTrue(graph, r, values)) {
-            values[head] = Truth::kTrue;
-            changed = true;
-          }
+  bool tripped = false;
+  int32_t trip_comp = -1;
+  for (int32_t comp = scc.num_components - 1; comp >= 0 && !tripped; --comp) {
+    const std::vector<int32_t>& rules = rules_by_comp[comp];
+    if (rules.empty()) continue;
+    // Least fixpoint within the component: negated atoms are in strictly
+    // earlier-processed components (local stratification), positive
+    // same-component atoms converge by iteration.
+    bool changed = true;
+    while (changed) {
+      ++result.iterations;
+      // One checkpoint per sweep; a trip abandons the run at this
+      // component.
+      if (context != nullptr &&
+          !context
+               ->Checkpoint("perfect_model",
+                            static_cast<int64_t>(rules.size()))
+               .ok()) {
+        tripped = true;
+        trip_comp = comp;
+        break;
+      }
+      changed = false;
+      for (int32_t r : rules) {
+        const AtomId head = graph.HeadOf(r);
+        if (values[head] == Truth::kTrue) continue;
+        if (BodyTrue(graph, r, values)) {
+          values[head] = Truth::kTrue;
+          changed = true;
         }
       }
     }
-    if (tripped) {
-      // Unfinished components (ids <= trip_comp): kTrue atoms are sound —
-      // every derivation was justified by final dependencies — but kFalse
-      // is merely "not derived yet", so those atoms become kUndef (Δ atoms
-      // are kTrue and unaffected).
-      for (AtomId a = 0; a < graph.num_atoms(); ++a) {
-        if (scc.component[a] <= trip_comp && values[a] == Truth::kFalse) {
-          values[a] = Truth::kUndef;
-        }
-      }
-      result.truncation = context->status();
-    }
-    result.values = std::move(values);
-    result.total = result.CountUndefined() == 0 && !tripped;
-    return result;
   }
-
-  // Parallel: each wave's components run concurrently on the pool. An
-  // atom's value is written only by its own component's worker, and every
-  // body atom read is either same-component (same worker) or in a strictly
-  // earlier wave (sequenced by the ParallelFor barrier), so the plain
-  // `values` vector needs no atomics. Components with no rules are final
-  // at the base assignment (nothing can ever derive their atoms), so they
-  // count as done without being claimed.
-  std::vector<char> comp_done(scc.num_components, 0);
-  for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    if (rules_by_comp[comp].empty()) comp_done[comp] = 1;
-  }
-  std::atomic<int64_t> sweeps{0};
-  ThreadPool pool(threads);
-  for (int32_t w = 0; w < schedule.num_waves(); ++w) {
-    if (context != nullptr && context->stopped()) break;
-    const int32_t begin = schedule.wave_offset[w];
-    const int32_t count = schedule.wave_offset[w + 1] - begin;
-    if (count == 0) continue;
-    pool.ParallelFor(
-        count,
-        [&](int32_t task, int32_t) {
-          const int32_t comp = schedule.order[begin + task];
-          const std::vector<int32_t>& rules = rules_by_comp[comp];
-          if (rules.empty()) return;  // already marked done
-          bool changed = true;
-          while (changed) {
-            sweeps.fetch_add(1, std::memory_order_relaxed);
-            if (context != nullptr &&
-                !context
-                     ->Checkpoint("perfect_model",
-                                  static_cast<int64_t>(rules.size()))
-                     .ok()) {
-              return;  // abandoned: comp_done stays 0
-            }
-            changed = false;
-            for (int32_t r : rules) {
-              const AtomId head = graph.HeadOf(r);
-              if (values[head] == Truth::kTrue) continue;
-              if (BodyTrue(graph, r, values)) {
-                values[head] = Truth::kTrue;
-                changed = true;
-              }
-            }
-          }
-          comp_done[comp] = 1;
-        },
-        context);
-  }
-  result.iterations = sweeps.load(std::memory_order_relaxed);
-  const bool tripped = context != nullptr && context->stopped();
   if (tripped) {
-    // Same soundness rule as the serial trip, at component granularity:
-    // kFalse in an unfinished component means "not derived yet", not
-    // "false".
+    // Unfinished components (ids <= trip_comp): kTrue atoms are sound —
+    // every derivation was justified by final dependencies — but kFalse
+    // is merely "not derived yet", so those atoms become kUndef (Δ atoms
+    // are kTrue and unaffected).
     for (AtomId a = 0; a < graph.num_atoms(); ++a) {
-      if (!comp_done[scc.component[a]] && values[a] == Truth::kFalse) {
+      if (scc.component[a] <= trip_comp && values[a] == Truth::kFalse) {
         values[a] = Truth::kUndef;
       }
     }
@@ -230,6 +144,12 @@ Result<InterpreterResult> PerfectModelGoverned(
   result.values = std::move(values);
   result.total = result.CountUndefined() == 0 && !tripped;
   return result;
+}
+
+Result<InterpreterResult> PerfectModelGoverned(
+    const Program& program, const Database& database, const GroundGraph& graph,
+    const InterpreterOptions& options) {
+  return PerfectModelGoverned(program, database, graph, options.context);
 }
 
 }  // namespace tiebreak

@@ -55,12 +55,10 @@ Result<InterpreterResult> PerfectModelGoverned(const Program& program,
                                                const GroundGraph& graph,
                                                ExecutionContext* context);
 
-/// Options overload: `num_threads > 1` evaluates the per-SCC fixpoints
-/// wave-parallel (components of one topological wave are mutually
-/// independent, so their fixpoints commute — identical model at every
-/// thread count). On a trip, components that finished keep their final
-/// values; atoms of unfinished or unreached components keep kTrue only
-/// when already derived and are otherwise kUndef.
+/// Options overload: runs the serial per-SCC evaluation above under
+/// `options.context` and ignores `num_threads`; its per-component
+/// fixpoints are too little work to pay for a fan-out (docs/benchmarks.md
+/// has the measurements).
 Result<InterpreterResult> PerfectModelGoverned(const Program& program,
                                                const Database& database,
                                                const GroundGraph& graph,

@@ -4,21 +4,17 @@
 #include <vector>
 
 #include "ground/ground_scc.h"
-#include "ground/parallel_close.h"
 #include "util/execution_context.h"
-#include "util/thread_pool.h"
 
 namespace tiebreak {
 
-namespace {
-
-// Bottom ties of the live subgraph described by `live`, straight off the
-// CSR spans. Component enumeration order and Lemma-1 side orientation match
-// the old BuildLiveGraph + ComputeScc + CheckTie route exactly (same
-// Tarjan ids, same member order; ground/ground_scc.h documents the
-// contract), so default-policy choice sequences are unchanged.
-std::vector<TieView> FindBottomTiesImpl(const GroundGraph& graph,
-                                        const GroundLiveness& live) {
+// Component enumeration order and Lemma-1 side orientation match the old
+// BuildLiveGraph + ComputeScc + CheckTie route exactly (same Tarjan ids,
+// same member order; ground/ground_scc.h documents the contract), so
+// default-policy choice sequences are unchanged.
+std::vector<TieView> FindBottomTies(const CloseState& state) {
+  const GroundGraph& graph = state.graph();
+  const GroundLiveness live{state.values().data(), state.rule_dead().data()};
   std::vector<TieView> ties;
   const SccResult scc = ComputeGroundScc(graph, live);
   if (scc.num_components == 0) return ties;
@@ -42,28 +38,10 @@ std::vector<TieView> FindBottomTiesImpl(const GroundGraph& graph,
   return ties;
 }
 
-}  // namespace
-
-std::vector<TieView> FindBottomTies(const CloseState& state) {
-  return FindBottomTiesImpl(
-      state.graph(),
-      GroundLiveness{state.values().data(), state.rule_dead().data()});
-}
-
-std::vector<TieView> FindBottomTies(const ParallelCloseState& state) {
-  // Snapshots keep the liveness pointers valid for the duration of the
-  // pass; the state is quiescent between SetAndClose calls.
-  const std::vector<Truth> values = state.values();
-  const std::vector<char> dead = state.rule_dead();
-  return FindBottomTiesImpl(state.graph(),
-                            GroundLiveness{values.data(), dead.data()});
-}
-
 namespace {
 
 // Applies one tie break: K's atoms true, L's atoms false, then close.
-template <typename State>
-void BreakTie(const TieView& tie, ChoicePolicy* policy, State* state,
+void BreakTie(const TieView& tie, ChoicePolicy* policy, CloseState* state,
               Certificate* certificate) {
   const std::vector<AtomId>* k_side;  // true side
   const std::vector<AtomId>* l_side;  // false side
@@ -93,14 +71,12 @@ void BreakTie(const TieView& tie, ChoicePolicy* policy, State* state,
   state->SetAndClose(assignments);
 }
 
-// The Section 3 interpreter loop over either close-state flavor. The
-// stopped() guards matter for truncation soundness: after a trip the
-// unfounded-set simulation returns {} over a possibly half-propagated
-// state, and breaking a "tie" of that state could assign atoms the full
-// run decides differently — so a tripped run stops choosing and reports
-// the partially-propagated prefix.
-template <typename State>
-InterpreterResult RunTieBreaking(State& state, TieBreakingMode mode,
+// The Section 3 interpreter loop. The stopped() guards matter for
+// truncation soundness: after a trip the unfounded-set simulation returns
+// {} over a possibly half-propagated state, and breaking a "tie" of that
+// state could assign atoms the full run decides differently — so a
+// tripped run stops choosing and reports the partially-propagated prefix.
+InterpreterResult RunTieBreaking(CloseState& state, TieBreakingMode mode,
                                  ChoicePolicy* policy,
                                  Certificate* certificate,
                                  ExecutionContext* context) {
@@ -182,13 +158,7 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
   FirstChoicePolicy default_policy;
   if (policy == nullptr) policy = &default_policy;
 
-  const int32_t threads = ThreadPool::EffectiveThreads(options.num_threads);
-  if (threads == 1) {
-    CloseState state(program, database, graph, options.context);
-    return RunTieBreaking(state, mode, policy, certificate, options.context);
-  }
-  ThreadPool pool(threads);
-  ParallelCloseState state(program, database, graph, &pool, options.context);
+  CloseState state(program, database, graph, options.context);
   return RunTieBreaking(state, mode, policy, certificate, options.context);
 }
 

@@ -29,8 +29,6 @@
 
 namespace tiebreak {
 
-class ParallelCloseState;
-
 /// Which variant of Section 3's interpreter to run. kTieFirst is *not* in
 /// the paper: it is the ablation of the paper's ordering decision — it
 /// prefers breaking ties over falsifying unfounded sets. It still computes
@@ -70,10 +68,11 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
                               ChoicePolicy* policy = nullptr,
                               Certificate* certificate = nullptr);
 
-/// Options overload: `num_threads > 1` closes wave-parallel between
-/// choices (ground/parallel_close.h); the choice sequence itself stays
-/// serial and deterministic given the policy, so every thread count
-/// reproduces the same model for the same policy. A non-null context
+/// Options overload. `num_threads` is ignored: close, the unfounded-set
+/// step and the tie search run serially (one close is O(edges) over the
+/// whole run, too little work to pay for a fan-out; docs/benchmarks.md has
+/// the measurements), so every thread count gives the serial model, step
+/// sequence and certificate for the same policy. A non-null context
 /// checkpoints once per interpreter round (tag "tie_breaking") on top of
 /// the close/unfounded checkpoints; after a trip no further ties are
 /// broken, so a truncated run is a partially-propagated prefix of the full
@@ -93,8 +92,6 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
 /// historical materialized-live-graph implementation (see
 /// ground/ground_scc.h for why).
 std::vector<TieView> FindBottomTies(const CloseState& state);
-/// Same, over a quiescent parallel close state.
-std::vector<TieView> FindBottomTies(const ParallelCloseState& state);
 
 /// Convenience overload: grounds (reduced mode) and interprets.
 Result<InterpreterResult> TieBreaking(const Program& program,

@@ -1,24 +1,19 @@
 #include "core/well_founded.h"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "ground/close.h"
-#include "ground/parallel_close.h"
 #include "util/execution_context.h"
-#include "util/thread_pool.h"
 
 namespace tiebreak {
 
 namespace {
 
-// The VRS loop over either close-state flavor: falsify the largest
-// unfounded set and re-close until none remains. Identical model for any
-// State (both closures are confluent); identical code so the serial and
-// parallel paths cannot drift.
-template <typename State>
-InterpreterResult RunWellFounded(State& state, ExecutionContext* context) {
+// The VRS loop: falsify the largest unfounded set and re-close until none
+// remains.
+InterpreterResult RunWellFounded(CloseState& state,
+                                 ExecutionContext* context) {
   InterpreterResult result;
   while (true) {
     ++result.iterations;
@@ -61,13 +56,7 @@ InterpreterResult WellFounded(const Program& program, const Database& database,
 InterpreterResult WellFounded(const Program& program, const Database& database,
                               const GroundGraph& graph,
                               const InterpreterOptions& options) {
-  const int32_t threads = ThreadPool::EffectiveThreads(options.num_threads);
-  if (threads == 1) {
-    return WellFounded(program, database, graph, options.context);
-  }
-  ThreadPool pool(threads);
-  ParallelCloseState state(program, database, graph, &pool, options.context);
-  return RunWellFounded(state, options.context);
+  return WellFounded(program, database, graph, options.context);
 }
 
 Result<InterpreterResult> WellFounded(const Program& program,

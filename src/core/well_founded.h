@@ -25,12 +25,10 @@ InterpreterResult WellFounded(const Program& program, const Database& database,
                               const GroundGraph& graph,
                               ExecutionContext* context = nullptr);
 
-/// Options overload: `options.num_threads == 1` is the serial reference
-/// above; `> 1` drains SCC components of the ground graph's condensation
-/// wave-parallel on a thread pool (ground/parallel_close.h). Close and the
-/// unfounded-set falsification are confluent, so every thread count
-/// computes the identical well-founded model; the truncation contract is
-/// unchanged.
+/// Options overload: runs the serial interpreter above under
+/// `options.context` and ignores `num_threads`. The run is one O(edges)
+/// close plus the unfounded-set rounds, too little work to pay for a
+/// fan-out (docs/benchmarks.md has the measurements).
 InterpreterResult WellFounded(const Program& program, const Database& database,
                               const GroundGraph& graph,
                               const InterpreterOptions& options);

@@ -1,16 +1,57 @@
 #include "ground/ground_scc.h"
 
-#include <algorithm>
-
 namespace tiebreak {
 
-SccResult ComputeGroundScc(const GroundGraph& graph,
-                           const GroundLiveness& live) {
-  TIEBREAK_CHECK(graph.finalized());
-  return ComputeSccOver(GroundAdjacency{&graph, live});
-}
-
 namespace {
+
+// Adjacency adapter feeding ComputeSccOver from the CSR spans.
+struct GroundAdjacency {
+  const GroundGraph* graph;
+  GroundLiveness live;
+
+  // Merge positions into the positive/negative consumer spans of an atom
+  // (rule nodes use neither; their single head edge is tracked by `pos`).
+  struct Cursor {
+    size_t pos = 0;
+    size_t neg = 0;
+  };
+
+  int32_t num_nodes() const {
+    return graph->num_atoms() + graph->num_rules();
+  }
+  bool Alive(int32_t node) const {
+    return node < graph->num_atoms()
+               ? live.AtomLive(node)
+               : live.RuleAlive(node - graph->num_atoms());
+  }
+  Cursor FirstEdge(int32_t) const { return Cursor{}; }
+  int32_t NextNeighbor(int32_t node, Cursor& cursor) const {
+    const int32_t num_atoms = graph->num_atoms();
+    if (node < num_atoms) {
+      // Merged consumer walk: ascending rule id, positive before negative
+      // on ties — the live_graph.cc edge insertion order (see the
+      // ground_scc.h file comment). Dead rules carry no edges.
+      const IdSpan pos = graph->PositiveConsumers(node);
+      const IdSpan neg = graph->NegativeConsumers(node);
+      while (cursor.pos < pos.size() || cursor.neg < neg.size()) {
+        int32_t r;
+        if (cursor.neg >= neg.size() ||
+            (cursor.pos < pos.size() && pos[cursor.pos] <= neg[cursor.neg])) {
+          r = pos[cursor.pos++];
+        } else {
+          r = neg[cursor.neg++];
+        }
+        if (live.RuleAlive(r)) return num_atoms + r;
+      }
+      return -1;
+    }
+    // Rule node: one head edge, present while the head atom is live.
+    if (cursor.pos != 0) return -1;
+    cursor.pos = 1;
+    const AtomId head = graph->HeadOf(node - num_atoms);
+    return live.AtomLive(head) ? head : -1;
+  }
+};
 
 // Enumerates the live edges of the (restricted) ground graph once:
 // fn(from_node, to_node) per edge, rule nodes offset by num_atoms. Same
@@ -36,6 +77,12 @@ void ForEachLiveEdge(const GroundGraph& graph, const GroundLiveness& live,
 
 }  // namespace
 
+SccResult ComputeGroundScc(const GroundGraph& graph,
+                           const GroundLiveness& live) {
+  TIEBREAK_CHECK(graph.finalized());
+  return ComputeSccOver(GroundAdjacency{&graph, live});
+}
+
 Condensation CondenseGroundScc(const GroundGraph& graph, const SccResult& scc,
                                const GroundLiveness& live) {
   Condensation cond;
@@ -51,59 +98,6 @@ Condensation CondenseGroundScc(const GroundGraph& graph, const SccResult& scc,
     }
   });
   return cond;
-}
-
-SccSchedule BuildSccSchedule(const GroundGraph& graph,
-                             const GroundLiveness& live) {
-  SccSchedule schedule;
-  schedule.scc = ComputeGroundScc(graph, live);
-  const SccResult& scc = schedule.scc;
-  schedule.wave.assign(scc.num_components, 0);
-  if (scc.num_components == 0) {
-    schedule.wave_offset.assign(1, 0);
-    return schedule;
-  }
-
-  // Longest-path leveling in one pass: component ids descending is a
-  // topological order (cross edges go from larger to smaller ids), so by
-  // the time a component is processed every edge *into* it has been
-  // relaxed and its wave is final; relaxing its out-edges then finalizes
-  // successors-to-be. Cross edges only — internal edges stay inside one
-  // wave by definition.
-  int32_t num_waves = 1;
-  const GroundAdjacency adj{&graph, live};
-  for (int32_t comp = scc.num_components - 1; comp >= 0; --comp) {
-    const int32_t next_wave = schedule.wave[comp] + 1;
-    for (int32_t node : scc.members[comp]) {
-      GroundAdjacency::Cursor cursor = adj.FirstEdge(node);
-      int32_t w;
-      while ((w = adj.NextNeighbor(node, cursor)) >= 0) {
-        const int32_t to_comp = scc.component[w];
-        if (to_comp == comp) continue;
-        if (schedule.wave[to_comp] < next_wave) {
-          schedule.wave[to_comp] = next_wave;
-          num_waves = std::max(num_waves, next_wave + 1);
-        }
-      }
-    }
-  }
-
-  // Bucket components by wave, descending id within each wave (the serial
-  // reference order; see header).
-  schedule.wave_offset.assign(num_waves + 1, 0);
-  for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    ++schedule.wave_offset[schedule.wave[comp] + 1];
-  }
-  for (int32_t w = 0; w < num_waves; ++w) {
-    schedule.wave_offset[w + 1] += schedule.wave_offset[w];
-  }
-  schedule.order.resize(scc.num_components);
-  std::vector<int32_t> cursor(schedule.wave_offset.begin(),
-                              schedule.wave_offset.end() - 1);
-  for (int32_t comp = scc.num_components - 1; comp >= 0; --comp) {
-    schedule.order[cursor[schedule.wave[comp]]++] = comp;
-  }
-  return schedule;
 }
 
 GroundTieCheck CheckGroundTie(const GroundGraph& graph, const SccResult& scc,

@@ -1,7 +1,6 @@
-// SCC condensation and topological wave scheduling directly over GroundGraph
-// CSR spans — no SignedDigraph copy. This is what lets the interpreters
-// condense G(Π, Δ) (or its live subgraph) at memory-bandwidth cost and fan
-// independent components out over the thread pool.
+// SCC condensation and the Lemma-1 tie test directly over GroundGraph CSR
+// spans — no SignedDigraph copy. This is what lets the interpreters condense
+// G(Π, Δ) (or its live subgraph) at memory-bandwidth cost every round.
 //
 // Node space: atoms occupy ids [0, num_atoms), rule instance r is node
 // num_atoms + r. Edges follow the paper's ground graph: positive body atom
@@ -50,59 +49,11 @@ struct GroundLiveness {
   }
 };
 
-/// Adjacency adapter feeding ComputeSccOver from the CSR spans; exposed so
-/// the schedule builder and tie check reuse the same neighbor enumeration.
-struct GroundAdjacency {
-  const GroundGraph* graph;
-  GroundLiveness live;
-
-  /// Merge positions into the positive/negative consumer spans of an atom
-  /// (rule nodes use neither; their single head edge is tracked by `pos`).
-  struct Cursor {
-    size_t pos = 0;
-    size_t neg = 0;
-  };
-
-  int32_t num_nodes() const {
-    return graph->num_atoms() + graph->num_rules();
-  }
-  bool Alive(int32_t node) const {
-    return node < graph->num_atoms()
-               ? live.AtomLive(node)
-               : live.RuleAlive(node - graph->num_atoms());
-  }
-  Cursor FirstEdge(int32_t) const { return Cursor{}; }
-  int32_t NextNeighbor(int32_t node, Cursor& cursor) const {
-    const int32_t num_atoms = graph->num_atoms();
-    if (node < num_atoms) {
-      // Merged consumer walk: ascending rule id, positive before negative
-      // on ties — the live_graph.cc edge insertion order (see file
-      // comment). Dead rules carry no edges.
-      const IdSpan pos = graph->PositiveConsumers(node);
-      const IdSpan neg = graph->NegativeConsumers(node);
-      while (cursor.pos < pos.size() || cursor.neg < neg.size()) {
-        int32_t r;
-        if (cursor.neg >= neg.size() ||
-            (cursor.pos < pos.size() && pos[cursor.pos] <= neg[cursor.neg])) {
-          r = pos[cursor.pos++];
-        } else {
-          r = neg[cursor.neg++];
-        }
-        if (live.RuleAlive(r)) return num_atoms + r;
-      }
-      return -1;
-    }
-    // Rule node: one head edge, present while the head atom is live.
-    if (cursor.pos != 0) return -1;
-    cursor.pos = 1;
-    const AtomId head = graph->HeadOf(node - num_atoms);
-    return live.AtomLive(head) ? head : -1;
-  }
-};
-
 /// Tarjan directly over the CSR spans. Dead nodes get component -1 and
-/// appear in no member list. See the file comment for the equivalence
-/// guarantee against ComputeScc over the materialized live graph.
+/// appear in no member list. Component ids are reverse-topological: every
+/// cross-component edge u -> v has comp(v) < comp(u). See the file comment
+/// for the equivalence guarantee against ComputeScc over the materialized
+/// live graph.
 SccResult ComputeGroundScc(const GroundGraph& graph,
                            const GroundLiveness& live = {});
 
@@ -110,33 +61,6 @@ SccResult ComputeGroundScc(const GroundGraph& graph,
 /// space, matching CondenseScc over the materialized graph.
 Condensation CondenseGroundScc(const GroundGraph& graph, const SccResult& scc,
                                const GroundLiveness& live = {});
-
-/// Topological wave schedule of the condensation: wave(c) is the longest
-/// dependency-path depth of component c, so every component's dependencies
-/// sit in strictly earlier waves and all components of one wave are
-/// mutually edge-free — they may evaluate concurrently. Within a wave,
-/// `order` lists components in descending id (the serial reference order:
-/// Tarjan ids are reverse-topological, and the serial interpreters process
-/// them descending).
-struct SccSchedule {
-  SccResult scc;
-  /// component id -> wave index.
-  std::vector<int32_t> wave;
-  /// Component ids grouped by wave: wave w occupies
-  /// order[wave_offset[w], wave_offset[w + 1]).
-  std::vector<int32_t> order;
-  /// num_waves() + 1 offsets into `order`.
-  std::vector<int32_t> wave_offset;
-
-  int32_t num_waves() const {
-    return static_cast<int32_t>(wave_offset.size()) - 1;
-  }
-};
-
-/// Condenses the (live) ground graph and levels the condensation into
-/// waves. One SCC pass plus one descending-id relaxation sweep.
-SccSchedule BuildSccSchedule(const GroundGraph& graph,
-                             const GroundLiveness& live = {});
 
 /// Result of the Lemma-1 tie test on one ground component (the flat-array
 /// replacement for graph/tie.h CheckTie on a materialized live graph).

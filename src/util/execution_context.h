@@ -7,8 +7,7 @@
 // Contract:
 //  * Checkpoints are amortized — once per 64-row kernel block, per stratum
 //    round, per grounder emission block, per interpreter worklist drain
-//    batch, per SCC component claimed off a parallel wave schedule, per SAT
-//    restart — never per tuple. A checkpoint is one relaxed
+//    batch, per SAT restart — never per tuple. A checkpoint is one relaxed
 //    atomic load on the already-tripped path and one relaxed fetch_add
 //    otherwise; the wall clock is read only when the accumulated step count
 //    crosses a stride boundary (kDeadlineStrideSteps), so deadline polling

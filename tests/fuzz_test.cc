@@ -4,6 +4,7 @@
 // mutations of valid programs. Also exercises the CHECK macros' abort
 // behavior via death tests.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/query_plan.h"
@@ -11,18 +12,16 @@
 #include "core/well_founded.h"
 #include "engine/evaluation.h"
 #include "ground/close.h"
-#include "ground/ground_scc.h"
 #include "ground/grounder.h"
-#include "ground/parallel_close.h"
 #include "gtest/gtest.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "lang/transform.h"
 #include "sat/solver.h"
 #include "storage/snapshot.h"
+#include "test_util.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "workload/programs.h"
 
 namespace tiebreak {
@@ -198,10 +197,12 @@ TEST(SnapshotFuzzTest, MutatedValidSnapshotsNeverCrashTheLoader) {
 }
 
 // ---------------------------------------------------------------------------
-// SCC scheduler over hostile ground graphs: hand-built rule structures
-// (cyclic negation, self-loops, empty components, duplicate rules) and
-// random mutations must neither crash nor hang the wave scheduler, and the
-// parallel close must agree with the serial close exactly.
+// Close over hostile ground graphs: hand-built rule structures (cyclic
+// negation, self-loops, empty components, duplicate rules) and random
+// mutations must neither crash nor hang CloseState or the CSR Tarjan, and
+// CloseState — its close, its LargestUnfoundedSet, and the well-founded
+// rounds built from both — must agree with a naive oracle that shares no
+// code with it.
 // ---------------------------------------------------------------------------
 
 // A graph of `num_atoms` nullary atoms (one per predicate id).
@@ -213,55 +214,124 @@ std::vector<AtomId> InternAtoms(GroundGraph* graph, int32_t num_atoms) {
   return atoms;
 }
 
-// Schedule invariants that must hold for *any* finalized graph: every node
-// in exactly one component, `order` a permutation of the components, every
-// cross-component edge pointing to a strictly later wave.
-void ExpectScheduleWellFormed(const GroundGraph& graph) {
-  const SccSchedule schedule = BuildSccSchedule(graph);
-  const SccResult& scc = schedule.scc;
-  const int32_t num_nodes = graph.num_atoms() + graph.num_rules();
-  std::vector<int32_t> seen(num_nodes, 0);
-  for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    for (int32_t node : scc.members[comp]) {
-      ASSERT_EQ(scc.component[node], comp);
-      ++seen[node];
+// One ground rule as plain data.
+struct PlainRule {
+  AtomId head = 0;
+  std::vector<AtomId> pos;
+  std::vector<AtomId> neg;
+};
+
+std::vector<PlainRule> PlainRules(const GroundGraph& graph) {
+  std::vector<PlainRule> rules(graph.num_rules());
+  for (int32_t r = 0; r < graph.num_rules(); ++r) {
+    rules[r].head = graph.HeadOf(r);
+    rules[r].pos.assign(graph.PositiveBody(r).begin(),
+                        graph.PositiveBody(r).end());
+    rules[r].neg.assign(graph.NegativeBody(r).begin(),
+                        graph.NegativeBody(r).end());
+  }
+  return rules;
+}
+
+bool NaiveKilled(const PlainRule& rule, const std::vector<Truth>& value) {
+  for (AtomId a : rule.pos) {
+    if (value[a] == Truth::kFalse) return true;
+  }
+  for (AtomId a : rule.neg) {
+    if (value[a] == Truth::kTrue) return true;
+  }
+  return false;
+}
+
+bool NaiveFires(const PlainRule& rule, const std::vector<Truth>& value) {
+  for (AtomId a : rule.pos) {
+    if (value[a] != Truth::kTrue) return false;
+  }
+  for (AtomId a : rule.neg) {
+    if (value[a] != Truth::kFalse) return false;
+  }
+  return true;
+}
+
+// close(M, G) by whole-graph sweeps of Section 2's rewrite rules until
+// nothing changes: a rule all of whose body arcs are gone makes its head
+// true, and an undefined atom whose every rule is killed becomes false.
+// (Assigning an atom deletes it, and with it the arcs its value satisfies
+// or the rules it kills; NaiveKilled and NaiveFires read that off the
+// values directly.)
+std::vector<Truth> NaiveClose(const std::vector<PlainRule>& rules,
+                              std::vector<Truth> value) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const PlainRule& rule : rules) {
+      if (value[rule.head] == Truth::kUndef && NaiveFires(rule, value)) {
+        value[rule.head] = Truth::kTrue;
+        changed = true;
+      }
+    }
+    for (AtomId a = 0; a < static_cast<AtomId>(value.size()); ++a) {
+      if (value[a] != Truth::kUndef) continue;
+      bool supported = false;
+      for (const PlainRule& rule : rules) {
+        if (rule.head == a && !NaiveKilled(rule, value)) supported = true;
+      }
+      if (!supported) {
+        value[a] = Truth::kFalse;
+        changed = true;
+      }
     }
   }
-  for (int32_t node = 0; node < num_nodes; ++node) {
-    ASSERT_EQ(seen[node], 1) << "node " << node;
+  return value;
+}
+
+// Atoms[close(M, G+)]: close the live rules with their negative arcs
+// dropped, and return the atoms still undefined, ascending.
+std::vector<AtomId> NaiveUnfoundedSet(const std::vector<PlainRule>& rules,
+                                      const std::vector<Truth>& value) {
+  std::vector<PlainRule> positive;
+  for (const PlainRule& rule : rules) {
+    if (NaiveKilled(rule, value) || NaiveFires(rule, value)) continue;
+    positive.push_back(PlainRule{rule.head, rule.pos, {}});
   }
-  ASSERT_EQ(static_cast<int32_t>(schedule.order.size()), scc.num_components);
-  auto check_edge = [&](int32_t from, int32_t to) {
-    if (scc.component[from] == scc.component[to]) return;
-    ASSERT_LT(schedule.wave[scc.component[from]],
-              schedule.wave[scc.component[to]]);
-  };
-  for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    const int32_t rule_node = graph.num_atoms() + r;
-    for (AtomId a : graph.PositiveBody(r)) check_edge(a, rule_node);
-    for (AtomId a : graph.NegativeBody(r)) check_edge(a, rule_node);
-    check_edge(rule_node, graph.HeadOf(r));
+  const std::vector<Truth> closed = NaiveClose(positive, value);
+  std::vector<AtomId> unfounded;
+  for (AtomId a = 0; a < static_cast<AtomId>(value.size()); ++a) {
+    if (closed[a] == Truth::kUndef) unfounded.push_back(a);
+  }
+  return unfounded;
+}
+
+// Runs CloseState from `initial` through the well-founded rounds (falsify
+// the largest unfounded set, close again) and checks every round's values,
+// rule liveness and unfounded set against the naive oracle.
+void ExpectCloseMatchesNaive(const GroundGraph& graph,
+                             const std::vector<Truth>& initial) {
+  const std::vector<PlainRule> rules = PlainRules(graph);
+  std::vector<Truth> expected = NaiveClose(rules, initial);
+  CloseState state(graph, initial);
+  for (int round = 0;; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ASSERT_EQ(state.values(), expected);
+    for (int32_t r = 0; r < graph.num_rules(); ++r) {
+      const bool dead =
+          NaiveKilled(rules[r], expected) || NaiveFires(rules[r], expected);
+      ASSERT_EQ(state.RuleLive(r), !dead) << "rule " << r;
+    }
+    const std::vector<AtomId> unfounded = state.LargestUnfoundedSet();
+    ASSERT_EQ(unfounded, NaiveUnfoundedSet(rules, expected));
+    if (unfounded.empty()) break;
+    std::vector<std::pair<AtomId, bool>> assignments;
+    for (AtomId a : unfounded) {
+      assignments.emplace_back(a, false);
+      expected[a] = Truth::kFalse;
+    }
+    state.SetAndClose(assignments);
+    expected = NaiveClose(rules, std::move(expected));
   }
 }
 
-// Runs serial and parallel close from `initial` and asserts exact
-// agreement on values, rule liveness and the largest unfounded set.
-void ExpectParallelCloseAgrees(const GroundGraph& graph,
-                               const std::vector<Truth>& initial) {
-  CloseState serial(graph, initial);
-  const std::vector<AtomId> serial_unfounded = serial.LargestUnfoundedSet();
-  for (const int32_t threads : {2, 8}) {
-    ThreadPool pool(threads);
-    ParallelCloseState parallel(graph, initial, &pool);
-    ASSERT_EQ(parallel.values(), serial.values()) << "threads=" << threads;
-    ASSERT_EQ(parallel.rule_dead(), serial.rule_dead())
-        << "threads=" << threads;
-    ASSERT_EQ(parallel.LargestUnfoundedSet(), serial_unfounded)
-        << "threads=" << threads;
-  }
-}
-
-TEST(SccSchedulerFuzzTest, HandBuiltAdversarialGraphs) {
+TEST(CloseFuzzTest, HandBuiltAdversarialGraphsMatchNaiveClose) {
   std::vector<GroundGraph> graphs;
 
   {  // Empty graph: no atoms, no rules.
@@ -312,13 +382,13 @@ TEST(SccSchedulerFuzzTest, HandBuiltAdversarialGraphs) {
   for (size_t i = 0; i < graphs.size(); ++i) {
     SCOPED_TRACE("graph " + std::to_string(i));
     const GroundGraph& graph = graphs[i];
-    ExpectScheduleWellFormed(graph);
-    ExpectParallelCloseAgrees(
+    testing_util::ExpectValidComponents(graph);
+    ExpectCloseMatchesNaive(
         graph, std::vector<Truth>(graph.num_atoms(), Truth::kUndef));
   }
 }
 
-TEST(SccSchedulerFuzzTest, RandomMutatedGroundGraphsAgreeWithSerial) {
+TEST(CloseFuzzTest, RandomMutatedGroundGraphsMatchNaiveClose) {
   Rng rng(0xF028);
   for (int round = 0; round < 120; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
@@ -342,22 +412,22 @@ TEST(SccSchedulerFuzzTest, RandomMutatedGroundGraphsAgreeWithSerial) {
     }
     graph.Finalize();
 
-    ExpectScheduleWellFormed(graph);
+    testing_util::ExpectValidComponents(graph);
     const std::vector<Truth> open(graph.num_atoms(), Truth::kUndef);
-    ExpectParallelCloseAgrees(graph, open);
+    ExpectCloseMatchesNaive(graph, open);
 
     // Re-seeding with a random decided subset of the closure is consistent
-    // (close is monotone), so serial and parallel must still agree.
-    CloseState reference(graph, open);
+    // (close is monotone), so the close from it must match the oracle too.
+    const std::vector<Truth> closed = NaiveClose(PlainRules(graph), open);
     std::vector<Truth> preset(graph.num_atoms(), Truth::kUndef);
     bool any = false;
     for (AtomId a = 0; a < graph.num_atoms(); ++a) {
-      if (reference.values()[a] != Truth::kUndef && rng.Chance(0.5)) {
-        preset[a] = reference.values()[a];
+      if (closed[a] != Truth::kUndef && rng.Chance(0.5)) {
+        preset[a] = closed[a];
         any = true;
       }
     }
-    if (any) ExpectParallelCloseAgrees(graph, preset);
+    if (any) ExpectCloseMatchesNaive(graph, preset);
   }
 }
 

@@ -1,14 +1,15 @@
-// Differential harness for the SCC-scheduled parallel interpreters: every
-// interpreter must produce the same three-valued model at 1, 2 and 8
-// threads (serial = CloseState and friends, parallel = wave-scheduled
-// ParallelCloseState / rule-block sweeps), over curated programs, workload
-// families and randomized programs. Also locks down the structural
-// contracts the parallelism rests on: the CSR Tarjan reproduces the
-// materialized-digraph Tarjan exactly (component ids, member order, tie
-// orientation), the wave schedule is a valid topological leveling with
-// every node in exactly one component, and truncated parallel runs only
-// move atoms to kUndef relative to the full model.
-#include <algorithm>
+// Thread-count agreement of every public interpreter entry point: each must
+// produce the same three-valued model at 1, 2 and 8 threads over curated
+// programs, workload families and randomized programs. The alternating
+// fixpoint's rule-block sweeps and the completion encoder's clause blocks
+// fan out at 2 and 8 threads; WellFounded, TieBreaking and
+// PerfectModelGoverned run serially at every thread count, and the matrix
+// pins that their models and WFTB certificates do not depend on it. Also
+// locks down the structural contracts the interpreters rest on: the CSR
+// Tarjan reproduces the materialized-digraph Tarjan exactly (component
+// ids, member order, tie orientation), every node sits in exactly one
+// component with reverse-topological ids, and truncated runs only move
+// atoms to kUndef relative to the full model.
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,12 +25,10 @@
 #include "ground/close.h"
 #include "ground/ground_scc.h"
 #include "ground/live_graph.h"
-#include "ground/parallel_close.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
 
@@ -136,56 +135,15 @@ std::vector<TieView> ReferenceBottomTies(const CloseState& state) {
   return ties;
 }
 
-// Wave-schedule invariants over the full graph: `order` is a permutation
-// of the components, every live node sits in exactly one member list (the
-// one its component id names), and every cross-component edge goes to a
-// strictly later wave.
-void ExpectValidSchedule(const GroundGraph& graph) {
-  const SccSchedule schedule = BuildSccSchedule(graph);
-  const SccResult& scc = schedule.scc;
-  const int32_t num_nodes = graph.num_atoms() + graph.num_rules();
-
-  std::vector<int32_t> seen(num_nodes, 0);
-  for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    for (int32_t node : scc.members[comp]) {
-      ASSERT_GE(node, 0);
-      ASSERT_LT(node, num_nodes);
-      EXPECT_EQ(scc.component[node], comp);
-      ++seen[node];
-    }
-  }
-  for (int32_t node = 0; node < num_nodes; ++node) {
-    EXPECT_EQ(seen[node], 1) << "node " << node
-                             << " not in exactly one component";
-  }
-
-  ASSERT_EQ(static_cast<int32_t>(schedule.order.size()),
-            scc.num_components);
-  std::vector<char> in_order(scc.num_components, 0);
-  for (int32_t w = 0; w < schedule.num_waves(); ++w) {
-    for (int32_t i = schedule.wave_offset[w]; i < schedule.wave_offset[w + 1];
-         ++i) {
-      const int32_t comp = schedule.order[i];
-      EXPECT_EQ(schedule.wave[comp], w);
-      EXPECT_EQ(in_order[comp], 0);
-      in_order[comp] = 1;
-    }
-  }
-  EXPECT_EQ(std::count(in_order.begin(), in_order.end(), 0), 0);
-
-  auto expect_edge = [&](int32_t from, int32_t to) {
-    const int32_t fc = scc.component[from];
-    const int32_t tc = scc.component[to];
-    if (fc == tc) return;
-    EXPECT_LT(tc, fc) << "Tarjan ids must be reverse-topological";
-    EXPECT_LT(schedule.wave[fc], schedule.wave[tc])
-        << "cross edge must go to a strictly later wave";
-  };
-  for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    const int32_t rule_node = graph.num_atoms() + r;
-    for (AtomId a : graph.PositiveBody(r)) expect_edge(a, rule_node);
-    for (AtomId a : graph.NegativeBody(r)) expect_edge(a, rule_node);
-    expect_edge(rule_node, graph.HeadOf(r));
+// Step-for-step equality of two audit trails.
+void ExpectSameCertificate(const Certificate& got, const Certificate& want) {
+  ASSERT_EQ(got.steps.size(), want.steps.size());
+  for (size_t i = 0; i < got.steps.size(); ++i) {
+    EXPECT_EQ(got.steps[i].kind, want.steps[i].kind) << "step " << i;
+    EXPECT_EQ(got.steps[i].made_true, want.steps[i].made_true)
+        << "step " << i;
+    EXPECT_EQ(got.steps[i].made_false, want.steps[i].made_false)
+        << "step " << i;
   }
 }
 
@@ -201,24 +159,22 @@ std::vector<std::vector<Truth>> EnumerateFixpoints(FixpointSearch* search,
   return models;
 }
 
-// The agreement matrix: all six interpreters, {2, 8} threads against the
-// serial reference, exact three-valued equality (same graph, so directly
-// by AtomId).
+// The agreement matrix: every public entry point, {2, 8} threads against
+// the serial reference, exact three-valued equality (same graph, so
+// directly by AtomId).
 void ExpectInterpretersAgreeAcrossThreads(const Instance& inst) {
   const GroundingResult ground = GroundOrDie(inst);
   const GroundGraph& graph = ground.graph;
 
   // Serial references.
-  CloseState serial_close(inst.program, inst.database, graph);
-  const std::vector<AtomId> serial_unfounded =
-      serial_close.LargestUnfoundedSet();
   const InterpreterResult serial_wf =
       WellFounded(inst.program, inst.database, graph);
   const InterpreterResult serial_alt =
       AlternatingFixpointWellFounded(inst.program, inst.database, graph);
-  const InterpreterResult serial_wftb =
-      TieBreaking(inst.program, inst.database, graph,
-                  TieBreakingMode::kWellFounded);
+  Certificate serial_certificate;
+  const InterpreterResult serial_wftb = TieBreaking(
+      inst.program, inst.database, graph, TieBreakingMode::kWellFounded,
+      /*policy=*/nullptr, &serial_certificate);
   const InterpreterResult serial_pure = TieBreaking(
       inst.program, inst.database, graph, TieBreakingMode::kPure);
   const Result<InterpreterResult> serial_pm =
@@ -239,17 +195,6 @@ void ExpectInterpretersAgreeAcrossThreads(const Instance& inst) {
     InterpreterOptions options;
     options.num_threads = threads;
 
-    // close: the full propagation state, value-for-value and
-    // rule-for-rule (both closures are confluent and deterministic).
-    ThreadPool pool(threads);
-    ParallelCloseState parallel_close(inst.program, inst.database, graph,
-                                      &pool);
-    EXPECT_EQ(parallel_close.values(), serial_close.values());
-    EXPECT_EQ(parallel_close.rule_dead(), serial_close.rule_dead());
-    EXPECT_EQ(parallel_close.num_live_atoms(),
-              serial_close.num_live_atoms());
-    EXPECT_EQ(parallel_close.LargestUnfoundedSet(), serial_unfounded);
-
     const InterpreterResult wf =
         WellFounded(inst.program, inst.database, graph, options);
     EXPECT_EQ(wf.values, serial_wf.values);
@@ -260,12 +205,14 @@ void ExpectInterpretersAgreeAcrossThreads(const Instance& inst) {
     EXPECT_EQ(alt.values, serial_alt.values);
     EXPECT_EQ(alt.total, serial_alt.total);
 
-    const InterpreterResult wftb =
-        TieBreaking(inst.program, inst.database, graph,
-                    TieBreakingMode::kWellFounded, options);
+    Certificate certificate;
+    const InterpreterResult wftb = TieBreaking(
+        inst.program, inst.database, graph, TieBreakingMode::kWellFounded,
+        options, /*policy=*/nullptr, &certificate);
     EXPECT_EQ(wftb.values, serial_wftb.values);
     EXPECT_EQ(wftb.total, serial_wftb.total);
     EXPECT_EQ(wftb.ties_broken, serial_wftb.ties_broken);
+    ExpectSameCertificate(certificate, serial_certificate);
 
     const InterpreterResult pure = TieBreaking(
         inst.program, inst.database, graph, TieBreakingMode::kPure, options);
@@ -312,7 +259,7 @@ void ExpectCsrPassesMatchReference(const Instance& inst) {
     EXPECT_EQ(csr_ties[i].side1, reference_ties[i].side1) << "tie " << i;
   }
 
-  ExpectValidSchedule(graph);
+  testing_util::ExpectValidComponents(graph);
 }
 
 TEST(InterpreterParallelTest, AgreementCurated) {
@@ -367,26 +314,8 @@ TEST(InterpreterParallelTest, CsrPassesMatchReferenceRandom) {
   }
 }
 
-TEST(InterpreterParallelTest, ExplicitInitialAssignmentAgrees) {
-  // The explicit-initial constructor pair (used by the stable-model check's
-  // close(M⁻, G)): all-open initial, both closures must coincide.
-  for (Instance& inst : WorkloadInstances()) {
-    const GroundingResult ground = GroundOrDie(inst);
-    const std::vector<Truth> initial(ground.graph.num_atoms(),
-                                     Truth::kUndef);
-    CloseState serial(ground.graph, initial);
-    for (const int32_t threads : {2, 8}) {
-      ThreadPool pool(threads);
-      ParallelCloseState parallel(ground.graph, initial, &pool);
-      EXPECT_EQ(parallel.values(), serial.values()) << "threads=" << threads;
-      EXPECT_EQ(parallel.rule_dead(), serial.rule_dead())
-          << "threads=" << threads;
-    }
-  }
-}
-
 // Truncation soundness at 8 threads: under any step budget, a truncated
-// parallel run decides only atoms the full model decides, with the same
+// run decides only atoms the full model decides, with the same
 // values — undecided atoms are merely kUndef, never flipped.
 TEST(InterpreterParallelTest, TruncatedParallelRunsOnlyUndecide) {
   Program program = WinMoveProgram();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "ground/ground_scc.h"
 #include "ground/grounder.h"
 #include "ground/truth.h"
 #include "gtest/gtest.h"
@@ -40,6 +41,41 @@ inline GroundingResult GroundOrDie(const Instance& inst,
 
 /// Truth of pred(constants...) in `values`; atoms missing from the store
 /// read as false (they are false in every model over the graph).
+// Component invariants of ComputeGroundScc over the full graph, which
+// serial PerfectModelGoverned relies on when it walks components in
+// descending id: every node sits in exactly one member list (the one its
+// component id names), and every cross-component edge u -> v has
+// comp(v) < comp(u).
+inline void ExpectValidComponents(const GroundGraph& graph) {
+  const SccResult scc = ComputeGroundScc(graph);
+  const int32_t num_nodes = graph.num_atoms() + graph.num_rules();
+  std::vector<int32_t> seen(num_nodes, 0);
+  for (int32_t comp = 0; comp < scc.num_components; ++comp) {
+    for (int32_t node : scc.members[comp]) {
+      ASSERT_GE(node, 0);
+      ASSERT_LT(node, num_nodes);
+      EXPECT_EQ(scc.component[node], comp);
+      ++seen[node];
+    }
+  }
+  for (int32_t node = 0; node < num_nodes; ++node) {
+    EXPECT_EQ(seen[node], 1) << "node " << node
+                             << " not in exactly one component";
+  }
+  auto expect_edge = [&](int32_t from, int32_t to) {
+    const int32_t fc = scc.component[from];
+    const int32_t tc = scc.component[to];
+    if (fc == tc) return;
+    EXPECT_LT(tc, fc) << "Tarjan ids must be reverse-topological";
+  };
+  for (int32_t r = 0; r < graph.num_rules(); ++r) {
+    const int32_t rule_node = graph.num_atoms() + r;
+    for (AtomId a : graph.PositiveBody(r)) expect_edge(a, rule_node);
+    for (AtomId a : graph.NegativeBody(r)) expect_edge(a, rule_node);
+    expect_edge(rule_node, graph.HeadOf(r));
+  }
+}
+
 inline Truth TruthOf(const Instance& inst, const GroundingResult& ground,
                      const std::vector<Truth>& values, const std::string& pred,
                      const std::vector<std::string>& constants = {}) {
