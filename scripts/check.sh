@@ -42,7 +42,13 @@
 #                                 raw offset arithmetic over flat arrays —
 #                                 plus the text parser (lang_test,
 #                                 fuzz_test): the streaming tokenizer
-#                                 indexes raw bytes of untrusted text
+#                                 indexes raw bytes of untrusted text —
+#                                 plus the engine (engine_test,
+#                                 engine_kernel_test): the sorted EDB load
+#                                 and the prefix runs binary-search raw
+#                                 column memory, and hostile fact spans
+#                                 must fail with a Status, never an
+#                                 overread
 #   scripts/check.sh --ubsan      builds with -DTIEBREAK_SANITIZE=undefined
 #                                 into build-ubsan/ and runs the resource-
 #                                 governance surface (fault sweep, context
@@ -56,8 +62,13 @@
 #                                 header bit-packing, float activity
 #                                 punning and literal casts must stay
 #                                 UB-free — plus the demand-driven query
-#                                 path (query_test, query_demand_test) and
+#                                 path (query_test, query_demand_test),
 #                                 the text parser (lang_test, fuzz_test)
+#                                 and the engine's access paths
+#                                 (engine_test, engine_kernel_test): the
+#                                 prefix runs' binary searches and the
+#                                 sorted load's row arithmetic must stay
+#                                 free of overflow and out-of-range UB
 #   scripts/check.sh --docs       only the docs checks: broken relative
 #                                 links in *.md, and public-header
 #                                 declarations without a doc comment
@@ -168,10 +179,11 @@ if [[ "${1:-}" == "--asan" ]]; then
     --target ground_test ground_csr_test core_semantics_test \
              fault_injection_test interpreter_parallel_test storage_test \
              storage_corruption_test workload_test sat_test query_test \
-             query_demand_test lang_test fuzz_test
+             query_demand_test lang_test fuzz_test engine_test \
+             engine_kernel_test
   ASAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
     --output-on-failure \
-    -R '^(ground_(csr_)?test|core_semantics_test|fault_injection_test|interpreter_parallel_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test)$'
+    -R '^(ground_(csr_)?test|core_semantics_test|fault_injection_test|interpreter_parallel_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test|engine_(kernel_)?test)$'
   echo "check.sh: asan green"
   exit 0
 fi
@@ -184,10 +196,10 @@ if [[ "${1:-}" == "--ubsan" ]]; then
              ground_test ground_csr_test interpreter_parallel_test \
              reductions_test storage_test storage_corruption_test \
              workload_test sat_test query_test query_demand_test lang_test \
-             fuzz_test
+             fuzz_test engine_kernel_test
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
     --output-on-failure \
-    -R '^(fault_injection_test|execution_context_test|engine_test|ground_(csr_)?test|interpreter_parallel_test|reductions_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test)$'
+    -R '^(fault_injection_test|execution_context_test|engine_(kernel_)?test|ground_(csr_)?test|interpreter_parallel_test|reductions_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test)$'
   echo "check.sh: ubsan green"
   exit 0
 fi

@@ -58,6 +58,17 @@ constexpr int64_t kSinkBlockRows = 512;
 // walks to miss cache; below this the hash path always wins.
 constexpr int64_t kMergeMinRows = 4096;
 
+// The cost rule for a probe step over a sorted relation: building a hash
+// index reads all `rows` rows once, a prefix run costs about ⌈log2 rows⌉
+// per probe and nothing up front. The index pays once the rows the step's
+// outer side has fed it (`probes`) times that search cost reach the
+// relation's size.
+bool HashIndexPays(int64_t probes, int64_t rows) {
+  const int64_t log2_rows =
+      rows > 1 ? std::bit_width(static_cast<uint64_t>(rows - 1)) : 0;
+  return probes * log2_rows >= rows;
+}
+
 struct ArgAction {
   enum Kind : uint8_t {
     kConst,     // column must equal / emits `index` (a ConstId)
@@ -85,11 +96,19 @@ struct JoinStep {
   int32_t actions_begin = 0;
   int32_t actions_end = 0;
   int64_t size_snapshot = 0;  // source cardinality at compile time
-  // True = probe via the sorted-key index (binary search into a run)
-  // instead of hash chains. Only ever set on non-first steps over EDB
-  // relations — those are static during evaluation, so ProbeSorted's
-  // refresh-on-growth can never invalidate a run mid-join.
+  // True = a sort-merge join, chosen by selectivity (ChooseMergeJoin):
+  // probes scan a contiguous run of rows instead of chasing hash chains.
+  // On a non-prefix mask the run comes from the sorted-key index; on a
+  // prefix mask of a sorted relation it is a PrefixRun (`run` is set too).
   bool merge = false;
+  // True = probe by Relation::PrefixRun over the relation's own sorted
+  // rows: no index at all. Taken by merge steps on a prefix mask and by
+  // any prefix-mask step while a hash index would not pay (HashIndexPays).
+  bool run = false;
+  int32_t prefix = 0;  // run steps: Relation::PrefixLength(mask)
+  // run and merge are only ever set on non-first steps over EDB relations:
+  // those are static during evaluation, so they stay sorted and
+  // ProbeSorted's refresh-on-growth can never invalidate a run mid-join.
 };
 
 // Ground-atom template for negated literals and the head: actions are
@@ -159,6 +178,10 @@ struct CompiledPlan {
   // = the gather below is valid).
   std::vector<KeySource> fused_key;
   bool fused_hash = false;
+  // Rows the first step has fed the rest of this plan so far in this
+  // evaluation, summed over its executions (the probe count the
+  // HashIndexPays rule weighs). Survives recompiles.
+  int64_t outer_rows = 0;
 };
 
 /// Compiles rule bodies into CompiledPlans and caches them per
@@ -188,14 +211,19 @@ class PlanCache {
     if (slots.size() <= slot) slots.resize(slot + 1);
     std::unique_ptr<CompiledPlan>& plan = slots[slot];
     if (plan != nullptr && refresh_drift_ > 0 && !Drifted(*plan, delta_size)) {
-      ++stats->plan_cache_hits;
-      return *plan;
+      const int64_t outer = plan->outer_rows + FirstStepRows(*plan, delta_size);
+      if (!RunsOutgrown(*plan, outer)) {
+        plan->outer_rows = outer;
+        ++stats->plan_cache_hits;
+        return *plan;
+      }
     }
     if (plan == nullptr) plan = std::make_unique<CompiledPlan>();
     Compile(program_.rule(rule_index), delta_literal, delta_size, plan.get());
     ++stats->plans_compiled;
     for (const JoinStep& step : plan->steps) {
       if (step.merge) ++stats->merge_join_steps;
+      if (step.run) ++stats->run_probe_steps;
     }
     return *plan;
   }
@@ -212,6 +240,26 @@ class PlanCache {
           std::min(current, step.size_snapshot), 16);
       const int64_t hi = std::max(current, step.size_snapshot);
       if (hi > refresh_drift_ * lo) return true;
+    }
+    return false;
+  }
+
+  /// Rows the first step of `plan` feeds the rest in one execution: its
+  /// source's size (an upper bound when the step itself probes).
+  static int64_t FirstStepRows(const CompiledPlan& plan, int64_t delta_size) {
+    if (plan.steps.empty()) return 1;
+    const JoinStep& first = plan.steps.front();
+    return first.relation != nullptr ? first.relation->size() : delta_size;
+  }
+
+  /// True when a run step that was not a merge join now meets the
+  /// HashIndexPays rule at `outer_rows`: recompile it onto a hash index.
+  static bool RunsOutgrown(const CompiledPlan& plan, int64_t outer_rows) {
+    for (const JoinStep& step : plan.steps) {
+      if (step.run && !step.merge && step.prefix > 0 &&
+          HashIndexPays(outer_rows, step.relation->size())) {
+        return true;
+      }
     }
     return false;
   }
@@ -281,14 +329,27 @@ class PlanCache {
       step.actions_end = static_cast<int32_t>(plan->actions.size());
       if (!plan->steps.empty() && body_index != delta_literal) {
         step.merge = ChooseMergeJoin(atom.predicate, step.mask);
+        // A prefix mask of a sorted EDB relation needs no index at all
+        // while a hash index would not pay (and a merge join's sorted
+        // index would only copy the rows' own order).
+        const Relation& relation = relations_[atom.predicate];
+        const int32_t prefix = Relation::PrefixLength(step.mask);
+        if (kernel_ != JoinKernel::kRow && program_.IsEdb(atom.predicate) &&
+            relation.sorted() && prefix >= 0 &&
+            (prefix == 0 || step.merge ||
+             !HashIndexPays(plan->outer_rows, relation.size()))) {
+          step.run = true;
+          step.prefix = prefix;
+        }
       }
       // With ≤ 2 masked columns the probe key packs the masked values
-      // exactly, so every chain (or sorted-run) candidate already matches
-      // them: demote the masked checks to key-only actions (pattern fill
-      // without per-candidate verification). The row kernel keeps full
-      // verification — it is the tuple-at-a-time reference.
+      // exactly, and a prefix run compares every masked column, so every
+      // chain (or run) candidate already matches them: demote the masked
+      // checks to key-only actions (pattern fill without per-candidate
+      // verification). The row kernel keeps full verification — it is the
+      // tuple-at-a-time reference.
       if (kernel_ != JoinKernel::kRow && step.mask != 0 &&
-          Relation::ExactProbeKeys(step.mask)) {
+          (step.run || Relation::ExactProbeKeys(step.mask))) {
         int32_t column = 0;
         for (int32_t a = step.actions_begin; a < step.actions_end;
              ++a, ++column) {
@@ -299,6 +360,9 @@ class PlanCache {
         }
       }
       plan->steps.push_back(step);
+      if (plan->steps.size() == 1) {
+        plan->outer_rows += FirstStepRows(*plan, delta_size);
+      }
     };
 
     pending_.clear();
@@ -387,7 +451,10 @@ class PlanCache {
     }
     if (plan->steps.size() < 2) return;
     const JoinStep& probe = plan->steps[1];
-    if (probe.mask == 0 || probe.merge || probe.relation == nullptr) return;
+    if (probe.mask == 0 || probe.merge || probe.run ||
+        probe.relation == nullptr) {
+      return;
+    }
     column = 0;
     for (int32_t a = probe.actions_begin; a < probe.actions_end;
          ++a, ++column) {
@@ -433,7 +500,8 @@ class PlanCache {
 /// instance per worker thread — all mutable state (bindings, probe pattern,
 /// block scratch, ground-atom scratch) is private to the instance, and
 /// during parallel rounds the shared relations are only read (Probe /
-/// ProbeSorted on pre-materialized indexes, Contains on the dedupe table).
+/// ProbeSorted on pre-materialized indexes, PrefixRun and Contains on the
+/// columns or the dedupe table).
 class RuleEvaluator {
  public:
   using Sink = FunctionView<void(const ConstId*)>;
@@ -555,6 +623,17 @@ class RuleEvaluator {
           pattern[column] = binding_[action.index];
         }
       }
+    }
+    if (step.run) {
+      // Prefix-run path: binary search the relation's own sorted columns.
+      // Descending, like a hash chain (newest first), so both paths visit
+      // the same rows in the same order. Never the first step, so no range
+      // restriction applies.
+      const Relation::RowRun run = relation.PrefixRun(step.prefix, pattern);
+      for (int32_t row = run.end - 1; row >= run.begin; --row) {
+        MatchRow(step, relation, row);
+      }
+      return;
     }
     if (step.merge) {
       // Sort-merge path: binary search the sorted-key index, scan the
@@ -816,6 +895,7 @@ void PrewarmPlanIndexes(const CompiledPlan& plan,
     const JoinStep& step = plan.steps[i];
     const Relation* relation =
         step.relation != nullptr ? step.relation : delta_relation;
+    if (step.run) continue;  // PrefixRun reads the columns, no index
     if (step.merge) {
       relation->EnsureSortedIndex(step.mask);
     } else {
@@ -862,9 +942,12 @@ Result<Database> EvaluateStratified(const Program& program,
                                     Span<const FactSpan> facts,
                                     const EngineOptions& options,
                                     EngineStats* stats) {
-  TIEBREAK_CHECK_EQ(static_cast<int32_t>(facts.size()),
-                    program.num_predicates())
-      << "one FactSpan per predicate required";
+  if (static_cast<int64_t>(facts.size()) != program.num_predicates()) {
+    return Status::InvalidArgument(
+        "one FactSpan per predicate required: got " +
+        std::to_string(facts.size()) + " for " +
+        std::to_string(program.num_predicates()) + " predicates");
+  }
   Status safety = CheckSafety(program);
   if (!safety.ok()) return safety;
   const auto strata = ComputeStrata(program);
@@ -909,33 +992,19 @@ Result<Database> EvaluateStratified(const Program& program,
     if (!entry.ok()) return entry;
   }
 
-  // EDB load: stream every borrowed fact span into its columns. The source
-  // spans are sorted and duplicate-free, so the uniqueness-exploiting bulk
-  // path applies (no membership checks, prefetch-pipelined fingerprint
-  // stores). Per-predicate loads are independent — with a pool they fan
-  // out as one task per predicate.
-  auto load_predicate = [&](PredId p) {
-    const int64_t rows = facts[p].rows;
-    Relation& relation = relations[p];
-    relation.Reserve(rows);
-    if (rows == 0) return;
-    if (program.predicate(p).arity == 0) {
-      TIEBREAK_CHECK_EQ(rows, 1) << "arity-0 span with more than one row";
-      const Tuple empty;
-      relation.Insert(empty);
-      return;
+  // EDB load: copy every borrowed fact span into its columns, checking
+  // in the same pass that it is sorted, duplicate-free and free of
+  // negative ids — the prefix runs binary-search these rows, so a hostile
+  // span is rejected here instead of answering wrongly later. No dedupe
+  // table is built: a relation only probed a few times never pays for one.
+  for (PredId p = 0; p < num_preds; ++p) {
+    if (!relations[p].LoadSorted(facts[p].data, facts[p].rows)) {
+      return Status::InvalidArgument(
+          "fact span of predicate " + program.predicate_name(p) +
+          " is not sorted and duplicate-free with nonnegative ids (arity " +
+          std::to_string(program.predicate(p).arity) + ", " +
+          std::to_string(facts[p].rows) + " rows)");
     }
-    // The span rows are already one flat, sorted, duplicate-free row-major
-    // arena — exactly the uniqueness-exploiting bulk path's input format,
-    // with no flattening copy.
-    relation.InsertUniqueBulk(facts[p].data, rows);
-  };
-  if (parallel) {
-    pool->ParallelFor(num_preds,
-                      [&](int32_t task, int32_t) { load_predicate(task); },
-                      ctx);
-  } else {
-    for (PredId p = 0; p < num_preds; ++p) load_predicate(p);
   }
   int64_t total_tuples = 0;
   for (PredId p = 0; p < num_preds; ++p) total_tuples += relations[p].size();

@@ -14,6 +14,10 @@
 // Performance contract:
 //  * Relations store tuples column-major (one contiguous vector per column)
 //    with incrementally maintained probe indexes (see engine/relation.h).
+//  * The initial facts load sorted: each span is copied into its columns
+//    and checked (sorted, duplicate-free, no negative id) in one pass, and
+//    no dedupe table or index is built. An evaluation therefore costs in
+//    proportion to the rows it reads, not to the facts it is handed.
 //  * Semi-naive deltas are row ranges, not copies: relations only append,
 //    with stable row ids, so "the tuples derived last round" is exactly
 //    rows [begin, end) of the global relation. Fixpoint rounds maintain no
@@ -40,13 +44,23 @@
 //    prefetch-pipelined batch-insert path. JoinKernel::kRow is the
 //    tuple-at-a-time reference; both kernels visit rows in the identical
 //    order and produce identical statistics.
+//  * A non-first join step over an EDB relation (static during evaluation,
+//    so it stays sorted) whose mask selects a column prefix probes by
+//    binary search into the contiguous run of matching rows
+//    (Relation::PrefixRun) — no index — until a hash index pays: the plan
+//    compiler builds one only for a non-prefix mask, or once the rows the
+//    plan's first step has fed it in this evaluation, times ⌈log2 |R|⌉,
+//    reach |R|. A negated literal over a sorted relation is a binary
+//    search over all its columns (it has no dedupe table). Run steps
+//    visit rows in descending order, exactly like hash chains.
 //  * A non-delta join step whose probe mask has a low selectivity estimate
 //    (distinct keys / rows below EngineOptions::merge_join_selectivity —
-//    i.e. long hash chains) and whose relation is an EDB predicate (static
-//    during evaluation) is compiled as a sort-merge join: probes binary-
-//    search a sorted-key index and scan a contiguous run instead of
-//    chasing chain links. JoinKernel::kMerge forces this path on every
-//    eligible step for ablation.
+//    i.e. long hash chains) and whose relation is an EDB predicate is
+//    compiled as a sort-merge join: probes scan a contiguous run instead
+//    of chasing chain links — a prefix run on a prefix mask, a sorted-key
+//    index otherwise. JoinKernel::kMerge forces this path on every
+//    eligible step for ablation. JoinKernel::kRow takes neither runs nor
+//    merges: it is the hash-only reference.
 //  * The inner join loop performs no heap allocation: probe patterns,
 //    bindings, selection blocks and derived tuples live in reusable
 //    per-evaluator scratch, and derived head tuples are handed to an
@@ -66,9 +80,6 @@
 //    that catches cross-worker duplicates — then every probe index is
 //    extended once per merged stage) — which lands the new rows
 //    contiguously, making them the next round's delta ranges for free.
-//    The initial EDB load also goes through the pool: per-predicate loads
-//    are independent and stream each database relation into its columns
-//    via the uniqueness-exploiting bulk path.
 //  * Parallel and serial evaluation produce the *identical* database (set
 //    semantics: the least fixpoint is unique, and Database stores sorted
 //    sets), enforced by the serial-vs-parallel agreement tests, and all
@@ -179,6 +190,7 @@ struct EngineStats {
   int64_t plans_compiled = 0;   // join-plan compilations (incl. refreshes)
   int64_t plan_cache_hits = 0;  // evaluations served by a cached plan
   int64_t merge_join_steps = 0;  // join steps compiled onto the merge path
+  int64_t run_probe_steps = 0;   // join steps compiled onto prefix runs
   std::vector<StratumStats> per_stratum;
 };
 
@@ -197,13 +209,14 @@ Result<Database> EvaluateStratified(const Program& program,
 /// but the initial facts arrive as one FactSpan per predicate of `program`
 /// (in predicate order; `facts.size()` must equal num_predicates). Each
 /// span's rows must be sorted, duplicate-free, row-major of the
-/// predicate's arity — exactly the layout Database::Facts() hands out —
-/// and must stay valid and unmutated for the duration of the call. The
-/// spans are streamed straight into the engine's relations through the
-/// uniqueness-exploiting bulk path with no intermediate Database: this is
-/// the grounder's zero-copy hot path (its binding programs used to copy
-/// the EDB arena into a scratch Database only for evaluation to copy it
-/// again into Relations).
+/// predicate's arity with nonnegative ids, and at most one row at arity
+/// 0 — exactly the layout Database::Facts() hands out — and must stay
+/// valid and unmutated for the duration of the call. The spans are copied
+/// straight into the engine's relations by the sorted load, which checks
+/// all of this in the same linear pass; a violation (or a wrong span
+/// count) returns INVALID_ARGUMENT. No intermediate Database is built:
+/// this is the grounder's and the query planner's hot path, and callers
+/// pass empty spans for relations no rule reads.
 Result<Database> EvaluateStratified(const Program& program,
                                     Span<const FactSpan> facts,
                                     const EngineOptions& options = {},

@@ -86,7 +86,12 @@ uint64_t Relation::RowProbeKey(uint32_t mask, int32_t row) const {
 }
 
 int32_t Relation::FindRow(const ConstId* values, uint64_t fingerprint) const {
-  if (dedupe_.empty()) return -1;
+  if (dedupe_.empty()) {
+    // No table: the relation is empty or sorted-loaded (every append
+    // builds the table first), so a full-prefix run is the row if any.
+    const RowRun run = PrefixRun(arity_, values);
+    return run.empty() ? -1 : run.begin;
+  }
   const size_t slot_mask = dedupe_.size() - 1;
   for (size_t slot = MixSlot(fingerprint) & slot_mask;;
        slot = (slot + 1) & slot_mask) {
@@ -109,15 +114,18 @@ void Relation::GrowArena(int64_t min_capacity) {
   capacity_ = new_capacity;
 }
 
-void Relation::GrowDedupe() {
-  RehashDedupe(dedupe_.empty() ? kInitialSlots : dedupe_.size() * 2);
+void Relation::ReserveDedupe(int64_t num_rows) {
+  const size_t wanted = static_cast<size_t>(num_rows) * 2;
+  if (!dedupe_.empty() && wanted <= dedupe_.size()) return;
+  RehashDedupe(PowerOfTwoAtLeast(wanted));
 }
 
 void Relation::RehashDedupe(size_t new_capacity) {
   // Slots hold only row ids, so rehashing recomputes fingerprints from the
   // columns — in row order, so each column block is read as one sequential
   // stream (iterating slots instead would gather rows randomly). Rare by
-  // construction: every bulk path pre-sizes the table for its whole batch.
+  // construction: every bulk path pre-sizes the table for its whole batch,
+  // and a sorted-loaded relation builds it once, on its first append.
   std::vector<int32_t> fresh(new_capacity, -1);
   const size_t slot_mask = new_capacity - 1;
   std::vector<ConstId> row_buf(static_cast<size_t>(arity_));
@@ -131,10 +139,7 @@ void Relation::RehashDedupe(size_t new_capacity) {
 }
 
 bool Relation::Insert(const ConstId* values, uint64_t fingerprint) {
-  if (dedupe_.empty() ||
-      static_cast<size_t>(num_rows_ + 1) * 2 > dedupe_.size()) {
-    GrowDedupe();
-  }
+  ReserveDedupe(num_rows_ + 1);
   const size_t slot_mask = dedupe_.size() - 1;
   size_t slot = MixSlot(fingerprint) & slot_mask;
   while (dedupe_[slot] >= 0) {
@@ -148,11 +153,66 @@ bool Relation::Insert(const ConstId* values, uint64_t fingerprint) {
   return true;
 }
 
-void Relation::Reserve(int64_t num_rows) {
-  TIEBREAK_CHECK_GE(num_rows, 0);
-  if (num_rows > capacity_) GrowArena(num_rows);
-  const size_t wanted = PowerOfTwoAtLeast(static_cast<size_t>(num_rows) * 2);
-  if (dedupe_.size() < wanted) RehashDedupe(wanted);
+bool Relation::LoadSorted(const ConstId* rows, int64_t count) {
+  TIEBREAK_CHECK_EQ(num_rows_, 0) << "LoadSorted needs an empty relation";
+  if (count < 0 || count > INT32_MAX) return false;
+  // A table kept by Clear() would hide the loaded rows from FindRow:
+  // drop it, so lookups binary-search until the first append rebuilds it.
+  dedupe_.clear();
+  if (count == 0) return true;
+  if (arity_ == 0) {
+    if (count != 1) return false;
+    num_rows_ = 1;
+  } else {
+    if (count > capacity_) GrowArena(count);
+    // first_diff[c]: rows whose first column differing from the previous
+    // row is c — a row starts a new key of every prefix longer than c.
+    std::vector<int64_t> first_diff(static_cast<size_t>(arity_), 0);
+    for (int64_t r = 0; r < count; ++r) {
+      const ConstId* row = rows + r * arity_;
+      for (int32_t c = 0; c < arity_; ++c) {
+        if (row[c] < 0) return false;
+        data_[static_cast<size_t>(c) * capacity_ + r] = row[c];
+      }
+      if (r == 0) continue;
+      const ConstId* prev = row - arity_;
+      int32_t c = 0;
+      while (c < arity_ && row[c] == prev[c]) ++c;
+      if (c == arity_ || row[c] < prev[c]) return false;
+      ++first_diff[c];
+    }
+    prefix_keys_.assign(static_cast<size_t>(arity_), 1);
+    int64_t keys = 1;
+    for (int32_t c = 0; c < arity_; ++c) {
+      keys += first_diff[c];
+      prefix_keys_[c] = keys;
+    }
+    num_rows_ = static_cast<int32_t>(count);
+  }
+  // Index shells kept by Clear() cover the loaded rows like appended ones.
+  for (ProbeIndex& index : indexes_) {
+    index.next.reserve(num_rows_);
+    for (int32_t row = 0; row < num_rows_; ++row) AppendToIndex(&index, row);
+  }
+  return true;
+}
+
+Relation::RowRun Relation::PrefixRun(int32_t prefix,
+                                     const ConstId* pattern) const {
+  TIEBREAK_CHECK(sorted_) << "PrefixRun on an unsorted relation";
+  // Rows ascend lexicographically, so within the run of rows that match
+  // columns 0 .. c-1, column c ascends too: narrow [begin, end) by one
+  // equal_range per column, each over one contiguous column block.
+  int32_t begin = 0;
+  int32_t end = num_rows_;
+  for (int32_t c = 0; c < prefix && begin < end; ++c) {
+    const ConstId* column = ColumnData(c);
+    const auto [first, last] =
+        std::equal_range(column + begin, column + end, pattern[c]);
+    begin = static_cast<int32_t>(first - column);
+    end = static_cast<int32_t>(last - column);
+  }
+  return RowRun{begin, end};
 }
 
 int64_t Relation::BulkInsert(const Relation& staged) {
@@ -164,9 +224,7 @@ int64_t Relation::BulkInsert(const Relation& staged) {
   if (num_rows_ + staged.num_rows_ > capacity_) {
     GrowArena(num_rows_ + staged.num_rows_);
   }
-  const size_t wanted = PowerOfTwoAtLeast(
-      static_cast<size_t>(num_rows_ + staged.num_rows_ + 1) * 2);
-  if (dedupe_.size() < wanted) RehashDedupe(wanted);
+  ReserveDedupe(num_rows_ + staged.num_rows_ + 1);
   const size_t slot_mask = dedupe_.size() - 1;
   // Hash the whole stage up front so the probe loop can prefetch the slot
   // line a few rows before it lands on it. For the dominant arities the
@@ -224,58 +282,11 @@ int64_t Relation::BulkInsert(const Relation& staged) {
   return num_rows_ - first_new;
 }
 
-void Relation::InsertUniqueBulk(const ConstId* rows, int64_t count) {
-  if (count <= 0) return;
-  if (arity_ == 0) {
-    // At most one distinct zero-arity tuple exists; the uniqueness contract
-    // makes this a single ordinary insert.
-    TIEBREAK_CHECK_EQ(count, 1);
-    Insert(rows);
-    return;
-  }
-  const int32_t first_new = num_rows_;
-  if (num_rows_ + count > capacity_) GrowArena(num_rows_ + count);
-  // Column-wise scatter from the row-major input: each column block is a
-  // sequential write.
-  for (int32_t c = 0; c < arity_; ++c) {
-    ConstId* out = data_.data() + static_cast<size_t>(c) * capacity_ +
-                   num_rows_;
-    const ConstId* in = rows + c;
-    for (int64_t r = 0; r < count; ++r, in += arity_) out[r] = *in;
-  }
-  const size_t wanted =
-      PowerOfTwoAtLeast(static_cast<size_t>(num_rows_ + count) * 2);
-  if (dedupe_.size() < wanted) RehashDedupe(wanted);
-  const size_t slot_mask = dedupe_.size() - 1;
-  std::vector<uint64_t> fps(static_cast<size_t>(count));
-  for (int64_t r = 0; r < count; ++r) {
-    fps[r] = FingerprintOf(rows + r * arity_, arity_);
-  }
-  // Every row is new by contract, so slot placement never compares tuples:
-  // it probes to the first empty slot. (With arity > 2, distinct tuples
-  // that collide on the hashed fingerprint simply occupy two slots, which
-  // FindRow handles by verifying columns on fingerprint matches.)
-  for (int64_t r = 0; r < count; ++r) {
-    if (r + kPrefetchAhead < count) PrefetchDedupe(fps[r + kPrefetchAhead]);
-    size_t slot = MixSlot(fps[r]) & slot_mask;
-    while (dedupe_[slot] >= 0) slot = (slot + 1) & slot_mask;
-    dedupe_[slot] = num_rows_++;
-  }
-  for (ProbeIndex& index : indexes_) {
-    index.next.reserve(num_rows_);
-    for (int32_t row = first_new; row < num_rows_; ++row) {
-      AppendToIndex(&index, row);
-    }
-  }
-}
-
 int64_t Relation::InsertBatch(const ConstId* rows, int64_t count) {
   if (count <= 0) return 0;
   // Pre-grow once so mid-batch inserts never rehash (which would strand the
   // prefetches on the old slot arrays).
-  const size_t wanted =
-      PowerOfTwoAtLeast(static_cast<size_t>(num_rows_ + count + 1) * 2);
-  if (dedupe_.size() < wanted) RehashDedupe(wanted);
+  ReserveDedupe(num_rows_ + count + 1);
   std::vector<uint64_t> fps(static_cast<size_t>(count));
   for (int64_t r = 0; r < count; ++r) {
     fps[r] = FingerprintOf(rows + r * arity_, arity_);
@@ -301,6 +312,8 @@ int64_t Relation::InsertBatch(const ConstId* rows, int64_t count) {
 
 void Relation::Clear() {
   num_rows_ = 0;
+  sorted_ = true;
+  prefix_keys_.clear();
   std::fill(dedupe_.begin(), dedupe_.end(), -1);
   // Keep the arena and the materialized index shells (mask + slot/link
   // capacity): recycled staging relations re-probe the same masks every
@@ -464,6 +477,12 @@ Relation::SortedRun Relation::ProbeSorted(uint32_t mask,
 }
 
 int64_t Relation::DistinctKeysEstimate(uint32_t mask) const {
+  // Run steps build no index, so without the load's counts a prefix mask
+  // of a sorted relation would never get an estimate (nor a merge join).
+  const int32_t prefix = PrefixLength(mask);
+  if (sorted_ && prefix > 0 && !prefix_keys_.empty()) {
+    return prefix_keys_[prefix - 1];
+  }
   for (const SortedIndex& sorted : sorted_indexes_) {
     if (sorted.mask == mask && sorted.built_rows == num_rows_) {
       return sorted.distinct_keys;

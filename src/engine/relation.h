@@ -15,6 +15,15 @@
 // exactly one contiguous array, and a block gather of a probe-key column
 // is a sequential read.
 //
+// Sorted loads. The engine's EDB load (LoadSorted) copies an already
+// sorted, duplicate-free span straight into the columns and builds no
+// dedupe table: the relation is then *sorted* — its rows ascend
+// lexicographically — and stays so until the first append. On a sorted
+// relation the rows sharing a column prefix are one contiguous run, found
+// by narrowing one binary search per prefix column over the column blocks
+// (PrefixRun); Contains is the same search over all columns. A relation
+// that is only ever probed a few times never pays for a hash table.
+//
 // Deduplication. An open-addressing table (power-of-two capacity, linear
 // probing, ≤50% load) maps a 64-bit tuple fingerprint — the packed tuple
 // itself for arity ≤ 2 (ConstIds are nonnegative 31-bit values, so one or
@@ -27,9 +36,10 @@
 // Slot placement mixes the fingerprint's high word and folds the low word
 // in at a small odd stride (see MixSlot), so sequential derivation keys
 // probe the table at a hardware-prefetchable stride while distinct groups
-// spread uniformly. Batch paths (InsertBatch, InsertUniqueBulk) hash
-// several tuples ahead and software-prefetch the slot lines before
-// touching them, hiding the latency of out-of-cache tables.
+// spread uniformly. Batch paths (InsertBatch, BulkInsert) hash several
+// tuples ahead and software-prefetch the slot lines before touching them,
+// hiding the latency of out-of-cache tables. A sorted-loaded relation
+// builds the table on its first append.
 //
 // Probe indexes. A probe asks for all rows whose columns selected by a
 // bit mask equal a pattern. Per distinct mask the relation materializes
@@ -53,14 +63,16 @@
 // a mask's selectivity estimate crosses EngineOptions::merge_join_
 // selectivity. Sorted indexes absorb appended rows by sorting the new tail
 // and merging it in at the next probe (or at EnsureSortedIndex); see
-// ProbeSorted for the invalidation contract.
+// ProbeSorted for the invalidation contract. On a sorted relation a
+// prefix mask needs no sorted index: its PrefixRun is already one.
 //
 // Thread safety. A Relation is not internally synchronized. The engine's
 // parallel rounds follow a strict publish protocol: during a fan-out all
 // shared relations are read-only (probe indexes and sorted indexes are
 // pre-materialized via EnsureProbeIndex / EnsureSortedIndex, so Probe and
-// ProbeSorted perform no lazy construction), and all mutation happens on
-// the coordinating thread between fan-outs (Insert, BulkInsert, Clear).
+// ProbeSorted perform no lazy construction; PrefixRun and Contains are
+// pure reads), and all mutation happens on the coordinating thread
+// between fan-outs (Insert, BulkInsert, Clear).
 #ifndef TIEBREAK_ENGINE_RELATION_H_
 #define TIEBREAK_ENGINE_RELATION_H_
 
@@ -104,8 +116,10 @@ class Relation {
     return Insert(tuple.data());
   }
 
-  /// True iff the tuple at `values` is present. Pure read; safe to call
-  /// concurrently with other reads (but not with mutation).
+  /// True iff the tuple at `values` is present: a dedupe-table probe, or
+  /// on a sorted relation without one a binary search over the columns.
+  /// Pure read; safe to call concurrently with other reads (but not with
+  /// mutation).
   bool Contains(const ConstId* values) const {
     return FindRow(values, TupleFingerprint(values)) >= 0;
   }
@@ -156,9 +170,22 @@ class Relation {
   /// per-worker staging relations across fixpoint rounds).
   void Clear();
 
-  /// Pre-sizes the columns and dedupe table for `num_rows` total rows (bulk
-  /// EDB loads know their size up front).
-  void Reserve(int64_t num_rows);
+  /// Loads `count` rows given row-major at `rows` (count × arity ids) into
+  /// this empty relation, in one pass that copies them into the columns
+  /// and checks them: they must ascend strictly in lexicographic order
+  /// (sorted and duplicate-free, as Database::Facts() hands them out),
+  /// hold no negative id, number at most one at arity 0 and at most
+  /// INT32_MAX overall. Returns false on a violation and leaves the
+  /// relation empty. Builds no dedupe table (and drops one kept by
+  /// Clear), so the relation is sorted() afterwards; probe indexes kept by
+  /// Clear are extended over the loaded rows. Records the number of
+  /// distinct keys of every prefix mask for DistinctKeysEstimate.
+  /// Mutation: exclusive access required.
+  bool LoadSorted(const ConstId* rows, int64_t count);
+
+  /// True while the rows ascend strictly in lexicographic order: from
+  /// construction or Clear() through LoadSorted, until the first append.
+  bool sorted() const { return sorted_; }
 
   /// Materializes the probe index for `mask` if it does not exist yet.
   /// Parallel evaluation calls this for every mask a compiled plan probes
@@ -181,17 +208,6 @@ class Relation {
   /// publish remain valid and do not observe the new rows; ranges opened
   /// after observe all of them.
   int64_t BulkInsert(const Relation& staged);
-
-  /// Appends `count` rows given row-major at `rows` (count × arity ids)
-  /// under the guarantee that they are pairwise distinct AND none is
-  /// already present — the caller owns that contract (e.g. loading from a
-  /// deduplicated sorted set into an empty or disjoint relation). Skips
-  /// all membership verification and pipelines the fingerprint-table
-  /// stores behind software prefetch; ~2x faster than per-tuple Insert on
-  /// million-row loads. Violating the uniqueness contract silently breaks
-  /// set semantics — there is no cheap way to detect it here. Mutation:
-  /// exclusive access required.
-  void InsertUniqueBulk(const ConstId* rows, int64_t count);
 
   /// Deduplicating batch insert of `count` row-major rows: fingerprints are
   /// computed and slot lines prefetched a few rows ahead, then each row is
@@ -332,9 +348,31 @@ class Relation {
   /// Run order is ascending row id.
   SortedRun ProbeSorted(uint32_t mask, const ConstId* pattern) const;
 
-  /// Number of distinct probe keys under `mask`, when some index for
-  /// `mask` has already been materialized; -1 when unknown. The plan
-  /// compiler's selectivity estimate (distinct/size is the fraction of
+  /// The row range [begin, end) of a prefix run; see PrefixRun.
+  struct RowRun {
+    int32_t begin = 0;
+    int32_t end = 0;
+    bool empty() const { return begin == end; }
+  };
+
+  /// k when `mask` selects exactly columns 0 .. k-1 (0 for the empty
+  /// mask); -1 for any other mask.
+  static int32_t PrefixLength(uint32_t mask) {
+    return (mask & (mask + 1)) == 0 ? __builtin_popcount(mask) : -1;
+  }
+
+  /// On a sorted() relation: the contiguous rows whose first `prefix`
+  /// columns equal `pattern`'s, by one binary search per column over the
+  /// column blocks. Every row of the run matches; no index is built or
+  /// read, so this is a pure read. Row ids are stable, so a run stays
+  /// valid while the relation grows (the evaluator only takes runs over
+  /// EDB relations, which never do).
+  RowRun PrefixRun(int32_t prefix, const ConstId* pattern) const;
+
+  /// Number of distinct probe keys under `mask`: exact for a prefix mask
+  /// of a sorted-loaded relation, else known once some index for `mask`
+  /// has been materialized; -1 when unknown. The plan compiler's
+  /// selectivity estimate (distinct/size is the fraction of
   /// rows one key selects on average — crossing below
   /// EngineOptions::merge_join_selectivity switches the step to a
   /// sort-merge join).
@@ -402,11 +440,14 @@ class Relation {
   void GrowArena(int64_t min_capacity);
   void AppendRow(const ConstId* values) {
     if (num_rows_ == capacity_) GrowArena(num_rows_ + 1);
+    sorted_ = false;
     for (int32_t c = 0; c < arity_; ++c) {
       data_[static_cast<size_t>(c) * capacity_ + num_rows_] = values[c];
     }
   }
-  void GrowDedupe();
+  // Sizes the dedupe table for `num_rows` rows at ≤ 1/2 load, rehashing
+  // every current row when it grows (or is built for the first time).
+  void ReserveDedupe(int64_t num_rows);
   void RehashDedupe(size_t new_capacity);
   ProbeIndex& EnsureIndex(uint32_t mask) const;
   void AppendToIndex(ProbeIndex* index, int32_t row) const;
@@ -423,9 +464,15 @@ class Relation {
   int64_t capacity_ = 0;
   // Column-major arena: column c of row r is data_[c*capacity_ + r].
   std::vector<ConstId> data_;
+  // See sorted(): cleared by the first append.
+  bool sorted_ = true;
+  // LoadSorted's count of distinct keys per prefix length: entry k-1 for
+  // columns 0 .. k-1. Meaningful only while sorted_.
+  std::vector<int64_t> prefix_keys_;
   // Open-addressing dedupe table over tuple fingerprints; entries are row
   // ids, -1 = empty. Capacity is a power of two, load factor ≤ 1/2.
-  // 4 bytes per slot on purpose — see the file comment.
+  // 4 bytes per slot on purpose — see the file comment. Empty on a
+  // sorted-loaded relation until its first append.
   std::vector<int32_t> dedupe_;
   // One hash index per distinct probed mask (typically ≤ a handful).
   // Positions are stable handles: MatchRange and ProbeRef refer to indexes

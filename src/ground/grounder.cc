@@ -349,17 +349,13 @@ class GrounderImpl {
     }
 
     bool any_engine = false;
+    // The binding program shares the source vocabulary under identical
+    // predicate/constant ids: one copy of the flat symbol tables.
     Program bind_program;
-    if (engine_eligible) {
-      // Reproduce the vocabulary with identical predicate/constant ids.
-      for (PredId p = 0; p < program_.num_predicates(); ++p) {
-        bind_program.DeclarePredicate(program_.predicate_name(p),
-                                      program_.predicate(p).arity);
-      }
-      for (ConstId c = 0; c < program_.num_constants(); ++c) {
-        bind_program.InternConstant(program_.constant_name(c));
-      }
-    }
+    if (engine_eligible) bind_program = program_.VocabularyCopy();
+    // EDB predicates some binding rule reads; only these are handed to
+    // the engine, so unread relations of Δ cost nothing.
+    std::vector<char> edb_read(program_.num_predicates(), 0);
 
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
       const Rule& rule = program_.rule(r);
@@ -390,18 +386,22 @@ class GrounderImpl {
       for (int32_t v : plan.bound_vars) {
         bind_rule.head.args.push_back(Term::Variable(v));
       }
-      for (int32_t b : plan.generators) bind_rule.body.push_back(rule.body[b]);
+      for (int32_t b : plan.generators) {
+        bind_rule.body.push_back(rule.body[b]);
+        edb_read[rule.body[b].atom.predicate] = 1;
+      }
       bind_rule.num_variables = rule.num_variables;
       bind_rule.variable_names = rule.variable_names;
       bind_program.AddRule(std::move(bind_rule));
       any_engine = true;
     }
 
-    // One engine run computes every rule's binding relation: Δ's EDB fact
-    // arenas are borrowed as FactSpans (the engine streams them straight
-    // into its relations — no intermediate Database, no copy), join plans
-    // are compiled and cached per rule, and the vectorized kernels
-    // enumerate all matches, fanned over the pool when num_threads > 1.
+    // One engine run computes every rule's binding relation: the fact
+    // arenas of the EDB relations the binding rules read are borrowed as
+    // FactSpans (the engine's sorted load copies them straight into its
+    // columns — no intermediate Database), join plans are compiled and
+    // cached per rule, and the vectorized kernels enumerate all matches,
+    // fanned over the pool when num_threads > 1.
     Database bindings(program_);  // placeholder; replaced when engine runs
     const Database* bound_db = nullptr;
     if (any_engine) {
@@ -410,7 +410,7 @@ class GrounderImpl {
       std::vector<FactSpan> edb(bind_program.num_predicates());
       int64_t edb_facts = 0;
       for (PredId p = 0; p < program_.num_predicates(); ++p) {
-        if (!program_.IsEdb(p)) continue;
+        if (!edb_read[p]) continue;
         edb[p] = database_.Facts(p);
         edb_facts += edb[p].rows;
       }

@@ -23,8 +23,11 @@
 // over a derived program, the whole batch is evaluated by the relational
 // engine (columnar relations, compiled/cached join plans, vectorized join
 // kernels — see engine/evaluation.h) through the borrowed-EDB entry point
-// (Δ's flat fact arenas are handed to the engine as FactSpans, no
-// intermediate Database copy), and the grounder then streams the
+// (the flat fact arenas of the EDB relations some binding rule reads are
+// handed to the engine as FactSpans, no intermediate Database copy; the
+// binding program copies the source vocabulary wholesale instead of
+// re-interning it, so a small cone over a large Δ pays for the relations
+// it reads, not for Δ or U), and the grounder then streams the
 // materialized binding rows out of the columnar result Database, emitting
 // rule instances straight into the CSR graph arenas with zero per-instance
 // heap allocation. Emission is block-batched: the substituted atoms of a

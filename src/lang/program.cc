@@ -13,6 +13,14 @@ PredId Program::DeclarePredicate(std::string_view name, int32_t arity) {
   return id;
 }
 
+Program Program::VocabularyCopy() const {
+  Program copy;
+  copy.predicates_ = predicates_;
+  copy.predicate_names_ = predicate_names_;
+  copy.constants_ = constants_;
+  return copy;
+}
+
 void Program::AddRule(Rule rule) {
   rules_.push_back(std::move(rule));
   head_index_valid_ = false;

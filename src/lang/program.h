@@ -45,6 +45,11 @@ class Program {
     return constants_.Lookup(name);
   }
 
+  /// A program with this one's vocabulary — the same predicates and
+  /// constants under the same ids — and no rules: a wholesale copy of the
+  /// flat symbol tables, no re-interning.
+  Program VocabularyCopy() const;
+
   /// Appends a rule. The rule must reference declared predicates; full
   /// validation happens in Validate().
   void AddRule(Rule rule);

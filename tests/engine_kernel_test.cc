@@ -5,13 +5,20 @@
 // parallel path (×{1, 8} threads). Run under ThreadSanitizer by
 // scripts/check.sh --tsan (the vectorized paths pre-materialize indexes
 // before fan-outs exactly like the scalar ones; this suite is what holds
-// them to it).
+// them to it), and under AddressSanitizer and UndefinedBehaviorSanitizer
+// by --asan / --ubsan (prefix runs binary-search raw column memory). The
+// prefix-run access path is also checked against the perfect model of a
+// faithful grounding, which shares no join code with the engine.
+#include <set>
 #include <string>
 #include <vector>
 
+#include "core/perfect_model.h"
 #include "core/stratification.h"
 #include "engine/evaluation.h"
+#include "ground/grounder.h"
 #include "gtest/gtest.h"
+#include "lang/parser.h"
 #include "util/random.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
@@ -211,6 +218,166 @@ TEST(KernelAgreementTest, RandomStratifiedPrograms) {
   }
   // The generator must actually exercise the engine, not skip everything.
   EXPECT_GT(evaluated, 10);
+}
+
+// EXPECTs that `result` holds exactly the IDB facts the perfect model of a
+// faithful (reduce_edb = false) grounding makes true. Faithful grounding
+// instantiates every rule over the whole universe and the perfect model
+// evaluates the ground graph SCC by SCC: no engine join code is involved.
+void ExpectMatchesFaithfulPerfectModel(const Program& program,
+                                       const Database& database,
+                                       const Database& result,
+                                       const std::string& label) {
+  GroundingOptions faithful;
+  faithful.reduce_edb = false;
+  Result<GroundingResult> ground = Ground(program, database, faithful);
+  ASSERT_TRUE(ground.ok()) << label << ": " << ground.status().ToString();
+  Result<InterpreterResult> perfect = PerfectModelGoverned(
+      program, database, ground->graph, /*context=*/nullptr);
+  ASSERT_TRUE(perfect.ok()) << label << ": " << perfect.status().ToString();
+  const GroundAtomStore& atoms = ground->graph.atoms();
+  for (const PredId p : program.IdbPredicates()) {
+    std::set<Tuple> expected;
+    for (AtomId a = 0; a < ground->graph.num_atoms(); ++a) {
+      if (atoms.PredicateOf(a) == p && perfect->values[a] == Truth::kTrue) {
+        expected.insert(atoms.TupleOf(a));
+      }
+    }
+    const std::vector<Tuple> derived = result.Tuples(p);
+    EXPECT_EQ(std::set<Tuple>(derived.begin(), derived.end()), expected)
+        << label << ": " << program.predicate_name(p);
+  }
+}
+
+// True when some rule of `program` negates an EDB predicate.
+bool NegatesEdb(const Program& program) {
+  for (const Rule& rule : program.rules()) {
+    for (const Literal& literal : rule.body) {
+      if (!literal.positive && program.IsEdb(literal.atom.predicate)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+TEST(RunProbeTest, CostRuleChoosesRunsForSmallOuterSidesAndHashForLarge) {
+  // q's plan scans e (the smaller relation) and probes f on its first
+  // column: a prefix run while |e| × ⌈log2 |f|⌉ < |f|, a hash index once
+  // it is not. The negated g is a binary search at both sizes.
+  Rng rng(0x5EED);
+  for (const int32_t outer_edges : {2, 400}) {
+    Result<Program> program = ParseProgram(
+        "q(X, Z) :- e(X, Y), f(Y, Z), not g(Z).\n"
+        "r(X) :- q(X, Z), not f(Z, X).");
+    ASSERT_TRUE(program.ok());
+    Database db(*program);
+    std::vector<ConstId> nodes;
+    for (int32_t i = 0; i < 40; ++i) {
+      nodes.push_back(program->InternConstant("n" + std::to_string(i)));
+    }
+    auto fill = [&](const char* name, int32_t arity, int32_t rows) {
+      const PredId pred = program->LookupPredicate(name);
+      std::vector<ConstId> flat;
+      for (int32_t i = 0; i < rows * arity; ++i) {
+        flat.push_back(nodes[rng.Below(nodes.size())]);
+      }
+      db.BulkLoadFlat(pred, std::move(flat));
+    };
+    fill("e", 2, outer_edges);
+    fill("f", 2, 1200);
+    fill("g", 1, 12);
+    const int64_t f_rows = db.NumFacts(program->LookupPredicate("f"));
+    ASSERT_LT(db.NumFacts(program->LookupPredicate("e")), f_rows);
+
+    EngineOptions options;  // vector kernel
+    EngineStats stats;
+    Result<Database> result =
+        EvaluateStratified(*program, db, options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::string label = "outer_edges=" + std::to_string(outer_edges);
+    if (outer_edges == 2) {
+      EXPECT_GT(stats.run_probe_steps, 0) << label;
+    } else {
+      EXPECT_EQ(stats.run_probe_steps, 0) << label;
+    }
+    ExpectMatchesFaithfulPerfectModel(*program, db, *result, label);
+
+    // The hash-only row kernel agrees.
+    EngineOptions row_options;
+    row_options.kernel = JoinKernel::kRow;
+    EngineStats row_stats;
+    Result<Database> row = EvaluateStratified(*program, db, row_options,
+                                              &row_stats);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row_stats.run_probe_steps, 0);
+    EXPECT_TRUE(*row == *result) << label;
+  }
+}
+
+TEST(RunProbeTest, RandomProgramsWithNegatedEdbMatchPerfectModel) {
+  // Seeded stratified programs that negate EDB literals, over EDBs whose
+  // relations differ in size (one dense, the others sparse), so plans see
+  // both small outer sides (runs) and large ones (hash indexes).
+  Rng rng(0xD1FF);
+  int evaluated = 0;
+  int64_t run_steps = 0;
+  for (int round = 0; round < 120 && evaluated < 40; ++round) {
+    RandomProgramOptions options;
+    options.num_idb = 2 + static_cast<int>(rng.Below(3));
+    options.num_edb = 2 + static_cast<int>(rng.Below(2));
+    options.num_rules = 2 + static_cast<int>(rng.Below(6));
+    options.max_body = 2 + static_cast<int>(rng.Below(2));
+    options.negation_probability = 0.4;
+    options.edb_literal_probability = 0.5;
+    options.arity = 1 + static_cast<int>(rng.Below(2));
+    Program program = RandomProgram(&rng, options);
+    ASSERT_TRUE(program.Validate().ok());
+    if (!CheckSafety(program).ok()) continue;
+    if (!ComputeStrata(program).has_value()) continue;
+    if (!NegatesEdb(program)) continue;
+
+    // One dense relation, the rest sparse.
+    Database dense = *RandomEdbDatabase(&program, 9, 0.7, &rng);
+    Database sparse = *RandomEdbDatabase(&program, 9, 0.08, &rng);
+    Database db(program);
+    const std::vector<PredId> edb = program.EdbPredicates();
+    const PredId dense_pred = edb[rng.Below(edb.size())];
+    for (const PredId p : edb) {
+      const Database& source = p == dense_pred ? dense : sparse;
+      const int64_t rows = source.NumFacts(p);
+      if (rows == 0) continue;
+      if (source.arity(p) == 0) {
+        db.InsertProposition(p);
+        continue;
+      }
+      const ConstId* data = source.FactData(p);
+      db.BulkLoadFlat(p, std::vector<ConstId>(data,
+                                              data + rows * source.arity(p)));
+    }
+
+    const std::string label = "round " + std::to_string(round);
+    for (const JoinKernel kernel : kKernels) {
+      for (const int32_t threads : kThreadCounts) {
+        EngineOptions run_options;
+        run_options.kernel = kernel;
+        run_options.num_threads = threads;
+        EngineStats stats;
+        Result<Database> result =
+            EvaluateStratified(program, db, run_options, &stats);
+        ASSERT_TRUE(result.ok()) << label << ": "
+                                 << result.status().ToString();
+        run_steps += stats.run_probe_steps;
+        ExpectMatchesFaithfulPerfectModel(
+            program, db, *result,
+            label + " kernel=" + KernelName(kernel) +
+                " threads=" + std::to_string(threads));
+      }
+    }
+    ++evaluated;
+  }
+  EXPECT_GT(evaluated, 10);
+  EXPECT_GT(run_steps, 0);
 }
 
 }  // namespace

@@ -215,13 +215,23 @@ TEST(RelationTest, BulkInsertZeroArityAndEmptyStage) {
 }
 
 TEST(RelationTest, ReserveKeepsContentsAndDedupe) {
+  // A batch of 10k rows grows the dedupe table of a populated relation
+  // far past its initial size; the rows before it stay findable and
+  // duplicates stay rejected.
   Relation rel(2);
   rel.Insert({1, 2});
-  rel.Reserve(10'000);
+  std::vector<ConstId> batch;
+  for (ConstId i = 0; i < 10'000; ++i) {
+    batch.push_back(100 + i);
+    batch.push_back(i);
+  }
+  EXPECT_EQ(rel.InsertBatch(batch.data(), 10'000), 10'000);
   EXPECT_TRUE(rel.Contains({1, 2}));
   EXPECT_FALSE(rel.Insert({1, 2}));
   EXPECT_TRUE(rel.Insert({2, 1}));
-  EXPECT_EQ(rel.size(), 2);
+  EXPECT_FALSE(rel.Insert({100, 0}));
+  EXPECT_TRUE(rel.Contains({10'099, 9'999}));
+  EXPECT_EQ(rel.size(), 10'002);
 }
 
 TEST(RelationTest, ZeroArityRelationHoldsOneRow) {
@@ -236,6 +246,85 @@ TEST(RelationTest, ZeroArityRelationHoldsOneRow) {
     ++count;
   }
   EXPECT_EQ(count, 1);
+}
+
+TEST(RelationTest, SortedLoadRunsAndContainsWithoutDedupe) {
+  // (1,1) (1,4) (2,0) (2,3) (2,5) (7,7): sorted and duplicate-free.
+  const ConstId rows[] = {1, 1, 1, 4, 2, 0, 2, 3, 2, 5, 7, 7};
+  Relation rel(2);
+  ASSERT_TRUE(rel.LoadSorted(rows, 6));
+  EXPECT_TRUE(rel.sorted());
+  EXPECT_EQ(rel.size(), 6);
+  const ConstId two[] = {2, 3};
+  const Relation::RowRun run = rel.PrefixRun(1, two);
+  EXPECT_EQ(run.begin, 2);
+  EXPECT_EQ(run.end, 5);
+  EXPECT_EQ(rel.PrefixRun(2, two).begin, 3);
+  EXPECT_EQ(rel.PrefixRun(2, two).end, 4);
+  const ConstId absent[] = {3, 0};
+  EXPECT_TRUE(rel.PrefixRun(1, absent).empty());
+  EXPECT_EQ(rel.PrefixRun(0, absent).end - rel.PrefixRun(0, absent).begin,
+            6);
+  EXPECT_EQ(rel.DistinctKeysEstimate(0b01), 3);
+  EXPECT_EQ(rel.DistinctKeysEstimate(0b11), 6);
+  EXPECT_EQ(Relation::PrefixLength(0b11), 2);
+  EXPECT_EQ(Relation::PrefixLength(0b10), -1);
+
+  // Contains binary-searches: there is no dedupe table.
+  EXPECT_TRUE(rel.Contains({2, 3}));
+  EXPECT_FALSE(rel.Contains({2, 4}));
+
+  // The first append builds the table (if needed) and ends sortedness.
+  Relation grown(2);
+  ASSERT_TRUE(grown.LoadSorted(rows, 6));
+  EXPECT_FALSE(grown.Insert({1, 4}));
+  EXPECT_TRUE(grown.sorted());
+  EXPECT_TRUE(grown.Insert({0, 9}));
+  EXPECT_FALSE(grown.sorted());
+  EXPECT_EQ(grown.size(), 7);
+  EXPECT_TRUE(grown.Contains({0, 9}));
+  EXPECT_TRUE(grown.Contains({7, 7}));
+  EXPECT_EQ(ProbeSet(grown, 0b01, {2, 0}).size(), 3u);
+}
+
+TEST(RelationTest, SortedLoadAfterClearFindsEveryRow) {
+  // Clear keeps the dedupe table and the probe index shells; a sorted load
+  // into the cleared relation must neither be hidden by the emptied table
+  // nor be missing from the kept index.
+  Relation rel(2);
+  rel.Insert({9, 9});
+  rel.Insert({2, 8});
+  EXPECT_EQ(ProbeSet(rel, 0b01, {2, 0}).size(), 1u);
+  rel.Clear();
+  const ConstId rows[] = {1, 1, 2, 0, 2, 3, 7, 7};
+  ASSERT_TRUE(rel.LoadSorted(rows, 4));
+  EXPECT_TRUE(rel.sorted());
+  EXPECT_TRUE(rel.Contains({2, 3}));
+  EXPECT_TRUE(rel.Contains({7, 7}));
+  EXPECT_FALSE(rel.Contains({9, 9}));
+  EXPECT_EQ(rel.DistinctKeysEstimate(0b01), 3);
+  EXPECT_EQ(ProbeSet(rel, 0b01, {2, 0}).size(), 2u);
+  EXPECT_EQ(ProbeSet(rel, 0b10, {0, 7}).size(), 1u);
+  EXPECT_FALSE(rel.Insert({1, 1}));
+  EXPECT_TRUE(rel.Insert({2, 8}));
+  EXPECT_EQ(ProbeSet(rel, 0b01, {2, 0}).size(), 3u);
+  EXPECT_EQ(rel.size(), 5);
+}
+
+TEST(RelationTest, SortedLoadRejectsHostileRows) {
+  Relation rel(2);
+  const ConstId unsorted[] = {2, 1, 1, 5};
+  EXPECT_FALSE(rel.LoadSorted(unsorted, 2));
+  EXPECT_TRUE(rel.empty());
+  const ConstId duplicated[] = {1, 5, 1, 5};
+  EXPECT_FALSE(rel.LoadSorted(duplicated, 2));
+  const ConstId negative[] = {1, -3};
+  EXPECT_FALSE(rel.LoadSorted(negative, 1));
+  EXPECT_TRUE(rel.empty());
+  Relation proposition(0);
+  EXPECT_FALSE(proposition.LoadSorted(nullptr, 2));
+  EXPECT_TRUE(proposition.LoadSorted(nullptr, 1));
+  EXPECT_TRUE(proposition.Contains(Tuple{}));
 }
 
 // ---------------------------------------------------------------------------
@@ -585,6 +674,49 @@ TEST(EngineTest, BorrowedEdbLargeBulkLoad) {
       program, Span<const FactSpan>(facts.data(), facts.size()));
   ASSERT_TRUE(borrowed.ok());
   EXPECT_EQ(*borrowed, *copied);
+}
+
+// Evaluates TC over a hand-built `e` span (the program's only EDB
+// relation); every other relation gets an empty span.
+Result<Database> EvaluateWithEdgeSpan(const std::vector<ConstId>& rows,
+                                      int64_t count) {
+  const Program program = TransitiveClosureProgram();
+  std::vector<FactSpan> facts(program.num_predicates());
+  facts[program.LookupPredicate("e")] = FactSpan{rows.data(), count};
+  return EvaluateStratified(program,
+                            Span<const FactSpan>(facts.data(), facts.size()));
+}
+
+TEST(EngineTest, HostileSpansReturnInvalidArgument) {
+  // Sorted, duplicate-free rows evaluate.
+  ASSERT_TRUE(EvaluateWithEdgeSpan({0, 1, 1, 2}, 2).ok());
+  // Unsorted rows.
+  Result<Database> unsorted = EvaluateWithEdgeSpan({1, 2, 0, 1}, 2);
+  ASSERT_FALSE(unsorted.ok());
+  EXPECT_EQ(unsorted.status().code(), StatusCode::kInvalidArgument);
+  // A duplicated row.
+  Result<Database> duplicated = EvaluateWithEdgeSpan({0, 1, 0, 1}, 2);
+  ASSERT_FALSE(duplicated.ok());
+  EXPECT_EQ(duplicated.status().code(), StatusCode::kInvalidArgument);
+  // A negative id.
+  Result<Database> negative = EvaluateWithEdgeSpan({0, -1}, 1);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+
+  // A two-row arity-0 span (a proposition holds at most once).
+  Instance inst = ParseInstance("p :- go.", "go.");
+  std::vector<FactSpan> facts(inst.program.num_predicates());
+  facts[inst.program.LookupPredicate("go")] = FactSpan{nullptr, 2};
+  Result<Database> two_rows = EvaluateStratified(
+      inst.program, Span<const FactSpan>(facts.data(), facts.size()));
+  ASSERT_FALSE(two_rows.ok());
+  EXPECT_EQ(two_rows.status().code(), StatusCode::kInvalidArgument);
+
+  // A span count that does not match the program.
+  Result<Database> short_count = EvaluateStratified(
+      inst.program, Span<const FactSpan>(facts.data(), 1));
+  ASSERT_FALSE(short_count.ok());
+  EXPECT_EQ(short_count.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@
 #include <vector>
 
 #include "core/query_plan.h"
+#include "engine/evaluation.h"
+#include "ground/grounder.h"
 #include "gtest/gtest.h"
+#include "lang/transform.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
@@ -347,6 +350,186 @@ TEST(QueryDemandTest, MalformedPatternsFailWithoutPoisoningPlans) {
   }
   EXPECT_EQ(planner.stats().plans_built, 0);
   ExpectModesAgree(&planner, inst.program, "win(a)");
+}
+
+// ---------------------------------------------------------------------------
+// Unread relations cost nothing.
+// ---------------------------------------------------------------------------
+
+// The guarded cone of `pattern` (a bound pattern over `pred`), grounded
+// through the public calls QueryPlanner::Execute composes: the demand
+// program over the relations it reads, then the guarded program's reduced
+// grounding over Δ plus the magic relations.
+GroundingResult GroundGuardedCone(const Program& program,
+                                  const Database& database,
+                                  const std::string& pred_name,
+                                  ConstId bound, ExecutionContext* context) {
+  const PredId pred = program.LookupPredicate(pred_name);
+  const std::string adornment =
+      std::string("b") +
+      std::string(program.predicate(pred).arity - 1, 'f');
+  Result<DemandTransform> t = MagicSetTransform(program, pred, adornment);
+  TIEBREAK_CHECK(t.ok()) << t.status().ToString();
+  std::vector<FactSpan> spans(t->demand.num_predicates());
+  for (PredId p = 0; p < program.num_predicates(); ++p) {
+    if (t->edb_used[p]) spans[p] = database.Facts(p);
+  }
+  spans[t->seed] = FactSpan{&bound, 1};
+  EngineOptions engine_options;
+  engine_options.materialize_edb = false;
+  engine_options.context = context;
+  Result<Database> magic = EvaluateStratified(
+      t->demand, Span<const FactSpan>(spans.data(), spans.size()),
+      engine_options);
+  TIEBREAK_CHECK(magic.ok()) << magic.status().ToString();
+  Database prepared(t->guarded);
+  auto load = [&](PredId to, const Database& from, PredId p) {
+    const int64_t rows = from.NumFacts(p);
+    if (rows == 0) return;
+    const ConstId* data = from.FactData(p);
+    prepared.BulkLoadFlat(
+        to, std::vector<ConstId>(data, data + rows * from.arity(p)));
+  };
+  for (PredId p = 0; p < program.num_predicates(); ++p) {
+    load(p, database, p);
+    if (t->magic[p] >= 0) load(t->magic[p], *magic, t->magic[p]);
+  }
+  GroundingOptions ground_options;
+  ground_options.context = context;
+  Result<GroundingResult> ground = Ground(t->guarded, prepared,
+                                          ground_options);
+  TIEBREAK_CHECK(ground.ok()) << ground.status().ToString();
+  return std::move(*ground);
+}
+
+template <typename T>
+std::vector<T> ToVector(Span<T> span) {
+  return std::vector<T>(span.begin(), span.end());
+}
+
+void ExpectSameGraph(const GroundGraph& a, const GroundGraph& b,
+                     const std::string& label) {
+  EXPECT_EQ(ToVector(a.atoms().atom_predicates()),
+            ToVector(b.atoms().atom_predicates()))
+      << label;
+  EXPECT_EQ(ToVector(a.atoms().arg_arena()), ToVector(b.atoms().arg_arena()))
+      << label;
+  EXPECT_EQ(ToVector(a.rule_indices()), ToVector(b.rule_indices())) << label;
+  EXPECT_EQ(ToVector(a.heads()), ToVector(b.heads())) << label;
+  EXPECT_EQ(ToVector(a.pos_ends()), ToVector(b.pos_ends())) << label;
+  EXPECT_EQ(ToVector(a.body_arena()), ToVector(b.body_arena())) << label;
+}
+
+TEST(QueryDemandTest, UnreadRelationLeavesConesAndChargesUnchanged) {
+  // win/move over a chain and same-generation over a tree, plus 100k
+  // facts of `noise`, which no rule reads. Loading it into the phase-1 or
+  // phase-2 engine runs would show up in the context's byte charge; it
+  // must change no answer, no cone and no charge. Noise rows only use
+  // constants the database already holds, so the universe is unchanged.
+  Instance inst = ParseInstance(
+      "win(X) :- move(X, Y), not win(Y).\n"
+      "sg(X, Y) :- sibling(X, Y).\n"
+      "sg(X, Y) :- up(X, A), sg(A, B), down(B, Y).",
+      "");
+  Program& program = inst.program;
+  const PredId noise = program.DeclarePredicate("noise", 2);
+  const PredId move = program.LookupPredicate("move");
+  const PredId up = program.LookupPredicate("up");
+  const PredId down = program.LookupPredicate("down");
+  const PredId sibling = program.LookupPredicate("sibling");
+  constexpr int32_t kChain = 400;
+  constexpr int32_t kTreeNodes = 63;  // depth 5, heap-numbered t1 .. t63
+  std::vector<ConstId> chain;
+  for (int32_t j = 0; j < kChain; ++j) {
+    chain.push_back(program.InternConstant("c" + std::to_string(j)));
+  }
+  std::vector<ConstId> tree(kTreeNodes + 1, -1);
+  for (int32_t i = 1; i <= kTreeNodes; ++i) {
+    tree[i] = program.InternConstant("t" + std::to_string(i));
+  }
+  Database base(program);
+  {
+    std::vector<ConstId> moves;
+    for (int32_t j = 0; j + 1 < kChain; ++j) {
+      moves.insert(moves.end(), {chain[j], chain[j + 1]});
+    }
+    base.BulkLoadFlat(move, std::move(moves));
+    std::vector<ConstId> ups, downs, siblings;
+    for (int32_t child = 2; child <= kTreeNodes; ++child) {
+      ups.insert(ups.end(), {tree[child], tree[child / 2]});
+      downs.insert(downs.end(), {tree[child / 2], tree[child]});
+      siblings.insert(siblings.end(), {tree[child], tree[child ^ 1]});
+    }
+    base.BulkLoadFlat(up, std::move(ups));
+    base.BulkLoadFlat(down, std::move(downs));
+    base.BulkLoadFlat(sibling, std::move(siblings));
+  }
+  Database noisy = base;
+  {
+    std::vector<ConstId> universe = chain;
+    universe.insert(universe.end(), tree.begin() + 1, tree.end());
+    std::vector<ConstId> rows;
+    for (size_t i = 0; i < universe.size() && rows.size() < 200'000; ++i) {
+      for (size_t j = 0; j < universe.size() && rows.size() < 200'000; ++j) {
+        rows.insert(rows.end(), {universe[i], universe[j]});
+      }
+    }
+    noisy.BulkLoadFlat(noise, std::move(rows));
+  }
+  ASSERT_EQ(noisy.NumFacts(noise), 100'000);
+  ASSERT_EQ(ComputeUniverse(program, base), ComputeUniverse(program, noisy));
+
+  QueryPlanner base_planner(program, base);
+  QueryPlanner noisy_planner(program, noisy);
+  auto execute = [&](QueryPlanner* planner, const std::string& pattern,
+                     int64_t* bytes) {
+    ExecutionContext context;
+    QueryOptions options;
+    options.context = &context;
+    Result<QueryResult> result = planner->Execute(pattern, options);
+    EXPECT_TRUE(result.ok()) << pattern << ": " << result.status().ToString();
+    *bytes = context.bytes_charged();
+    return result.ok() ? std::move(*result) : QueryResult{};
+  };
+  std::vector<std::string> patterns;
+  for (int32_t j = 0; j < kChain; j += 37) {
+    patterns.push_back("win(c" + std::to_string(j) + ")");
+  }
+  for (int32_t i = 1; i <= kTreeNodes; i += 5) {
+    patterns.push_back("sg(t" + std::to_string(i) + ", Y)");
+  }
+  for (const std::string& pattern : patterns) {
+    int64_t base_bytes = 0;
+    int64_t noisy_bytes = 0;
+    const QueryResult a = execute(&base_planner, pattern, &base_bytes);
+    const QueryResult b = execute(&noisy_planner, pattern, &noisy_bytes);
+    EXPECT_EQ(Names(program, a.true_bindings),
+              Names(program, b.true_bindings))
+        << pattern;
+    EXPECT_EQ(Names(program, a.undefined_bindings),
+              Names(program, b.undefined_bindings))
+        << pattern;
+    EXPECT_GT(base_bytes, 0) << pattern;
+    EXPECT_EQ(base_bytes, noisy_bytes) << pattern;
+  }
+  EXPECT_EQ(noisy_planner.stats().fallbacks, 0);
+
+  // The guarded cones themselves, and what grounding them charges.
+  for (const auto& [pred, bound] :
+       {std::pair<std::string, ConstId>{"win", chain[kChain - 9]},
+        std::pair<std::string, ConstId>{"sg", tree[37]}}) {
+    ExecutionContext base_context;
+    ExecutionContext noisy_context;
+    const GroundingResult a =
+        GroundGuardedCone(program, base, pred, bound, &base_context);
+    const GroundingResult b =
+        GroundGuardedCone(program, noisy, pred, bound, &noisy_context);
+    EXPECT_GT(a.graph.num_rules(), 0) << pred;
+    ExpectSameGraph(a.graph, b.graph, pred);
+    EXPECT_EQ(a.universe, b.universe) << pred;
+    EXPECT_EQ(base_context.bytes_charged(), noisy_context.bytes_charged())
+        << pred;
+  }
 }
 
 }  // namespace
