@@ -48,7 +48,10 @@
 #                                 and the prefix runs binary-search raw
 #                                 column memory, and hostile fact spans
 #                                 must fail with a Status, never an
-#                                 overread
+#                                 overread — plus the util substrate
+#                                 (util_test): the CRC32C paths do
+#                                 alignment arithmetic and 8-byte loads
+#                                 at every start offset
 #   scripts/check.sh --ubsan      builds with -DTIEBREAK_SANITIZE=undefined
 #                                 into build-ubsan/ and runs the resource-
 #                                 governance surface (fault sweep, context
@@ -68,7 +71,10 @@
 #                                 (engine_test, engine_kernel_test): the
 #                                 prefix runs' binary searches and the
 #                                 sorted load's row arithmetic must stay
-#                                 free of overflow and out-of-range UB
+#                                 free of overflow and out-of-range UB —
+#                                 plus the util substrate (util_test):
+#                                 the CRC32C head/body/tail loops and the
+#                                 combine's shifts must stay UB-free
 #   scripts/check.sh --docs       only the docs checks: broken relative
 #                                 links in *.md, and public-header
 #                                 declarations without a doc comment
@@ -180,10 +186,10 @@ if [[ "${1:-}" == "--asan" ]]; then
              fault_injection_test interpreter_parallel_test storage_test \
              storage_corruption_test workload_test sat_test query_test \
              query_demand_test lang_test fuzz_test engine_test \
-             engine_kernel_test
+             engine_kernel_test util_test
   ASAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
     --output-on-failure \
-    -R '^(ground_(csr_)?test|core_semantics_test|fault_injection_test|interpreter_parallel_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test|engine_(kernel_)?test)$'
+    -R '^(ground_(csr_)?test|core_semantics_test|fault_injection_test|interpreter_parallel_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test|engine_(kernel_)?test|util_test)$'
   echo "check.sh: asan green"
   exit 0
 fi
@@ -196,10 +202,10 @@ if [[ "${1:-}" == "--ubsan" ]]; then
              ground_test ground_csr_test interpreter_parallel_test \
              reductions_test storage_test storage_corruption_test \
              workload_test sat_test query_test query_demand_test lang_test \
-             fuzz_test engine_kernel_test
+             fuzz_test engine_kernel_test util_test
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
     --output-on-failure \
-    -R '^(fault_injection_test|execution_context_test|engine_(kernel_)?test|ground_(csr_)?test|interpreter_parallel_test|reductions_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test)$'
+    -R '^(fault_injection_test|execution_context_test|engine_(kernel_)?test|ground_(csr_)?test|interpreter_parallel_test|reductions_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test|lang_test|fuzz_test|util_test)$'
   echo "check.sh: ubsan green"
   exit 0
 fi

@@ -188,16 +188,12 @@ Result<GroundAtomStore> GroundAtomStore::FromArenas(Span<PredId> preds,
   return store;
 }
 
-Result<GroundGraph> GroundGraph::FromArenas(GroundAtomStore atoms,
-                                            Span<int32_t> rule_indices,
-                                            Span<AtomId> heads,
-                                            Span<int64_t> pos_ends,
-                                            Span<int64_t> body_offsets,
-                                            Span<AtomId> body,
-                                            Span<int64_t> binding_offsets,
-                                            Span<ConstId> bindings,
-                                            int32_t num_constants,
-                                            int32_t num_program_rules) {
+Result<GroundGraph> GroundGraph::FromArenas(
+    GroundAtomStore atoms, std::vector<int32_t> rule_indices,
+    std::vector<AtomId> heads, std::vector<int64_t> pos_ends,
+    std::vector<int64_t> body_offsets, std::vector<AtomId> body,
+    std::vector<int64_t> binding_offsets, std::vector<ConstId> bindings,
+    int32_t num_constants, int32_t num_program_rules) {
   const size_t rules = rule_indices.size();
   if (rules > static_cast<size_t>(INT32_MAX)) {
     return Status::DataLoss("rule count overflows int32");
@@ -225,25 +221,27 @@ Result<GroundGraph> GroundGraph::FromArenas(GroundAtomStore atoms,
                             std::to_string(bindings.size()));
   }
   const int32_t num_atoms = atoms.size();
+  // The error text is built only on failure: this loop runs once per rule
+  // instance of a snapshot load.
+  auto where = [](size_t r) { return "rule instance " + std::to_string(r); };
   for (size_t r = 0; r < rules; ++r) {
-    const std::string where = "rule instance " + std::to_string(r);
     if (body_offsets[r + 1] < body_offsets[r] ||
         binding_offsets[r + 1] < binding_offsets[r]) {
-      return Status::DataLoss(where + ": offsets not monotone");
+      return Status::DataLoss(where(r) + ": offsets not monotone");
     }
     if (pos_ends[r] < body_offsets[r] || pos_ends[r] > body_offsets[r + 1]) {
-      return Status::DataLoss(where + ": positive split " +
+      return Status::DataLoss(where(r) + ": positive split " +
                               std::to_string(pos_ends[r]) +
                               " outside body range");
     }
     if (rule_indices[r] < 0 ||
         (num_program_rules >= 0 && rule_indices[r] >= num_program_rules)) {
-      return Status::DataLoss(where + ": program rule index " +
+      return Status::DataLoss(where(r) + ": program rule index " +
                               std::to_string(rule_indices[r]) +
                               " out of range");
     }
     if (heads[r] < 0 || heads[r] >= num_atoms) {
-      return Status::DataLoss(where + ": head atom " +
+      return Status::DataLoss(where(r) + ": head atom " +
                               std::to_string(heads[r]) + " outside [0, " +
                               std::to_string(num_atoms) + ")");
     }
@@ -265,14 +263,13 @@ Result<GroundGraph> GroundGraph::FromArenas(GroundAtomStore atoms,
   }
   GroundGraph graph;
   graph.atoms_ = std::move(atoms);
-  graph.rule_index_.assign(rule_indices.begin(), rule_indices.end());
-  graph.head_.assign(heads.begin(), heads.end());
-  graph.pos_end_.assign(pos_ends.begin(), pos_ends.end());
-  graph.body_offset_.assign(body_offsets.begin(), body_offsets.end());
-  graph.body_.assign(body.begin(), body.end());
-  graph.binding_offset_.assign(binding_offsets.begin(),
-                               binding_offsets.end());
-  graph.binding_.assign(bindings.begin(), bindings.end());
+  graph.rule_index_ = std::move(rule_indices);
+  graph.head_ = std::move(heads);
+  graph.pos_end_ = std::move(pos_ends);
+  graph.body_offset_ = std::move(body_offsets);
+  graph.body_ = std::move(body);
+  graph.binding_offset_ = std::move(binding_offsets);
+  graph.binding_ = std::move(bindings);
   graph.Finalize();
   return graph;
 }

@@ -424,16 +424,17 @@ class GroundGraph {
   /// the store, every binding ConstId in [0, num_constants), every rule
   /// index nonnegative (and < num_program_rules when >= 0 is passed) —
   /// returning kDataLoss on any violation, then rebuilds the inverse CSR
-  /// indexes with the serial Finalize. The rule arenas of the returned
-  /// graph are bit-identical to the dumped ones.
+  /// indexes with the serial Finalize. The arenas are taken by value and
+  /// moved into the returned graph, so they are bit-identical to the
+  /// dumped ones and a caller that moves them in pays no copy.
   static Result<GroundGraph> FromArenas(GroundAtomStore atoms,
-                                        Span<int32_t> rule_indices,
-                                        Span<AtomId> heads,
-                                        Span<int64_t> pos_ends,
-                                        Span<int64_t> body_offsets,
-                                        Span<AtomId> body,
-                                        Span<int64_t> binding_offsets,
-                                        Span<ConstId> bindings,
+                                        std::vector<int32_t> rule_indices,
+                                        std::vector<AtomId> heads,
+                                        std::vector<int64_t> pos_ends,
+                                        std::vector<int64_t> body_offsets,
+                                        std::vector<AtomId> body,
+                                        std::vector<int64_t> binding_offsets,
+                                        std::vector<ConstId> bindings,
                                         int32_t num_constants,
                                         int32_t num_program_rules);
 

@@ -1,5 +1,7 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstring>
 
 #include "util/crc32c.h"
@@ -82,20 +84,47 @@ uint64_t GetU64(const char* p) {
          static_cast<uint64_t>(GetU32(p + 4)) << 32;
 }
 
-// Appends `n` elements of `data` byte-for-byte (little-endian host).
+// Payloads are copied and checksummed in blocks of this many bytes, so
+// each block is CRC'd while it is still in cache: one pass over memory
+// per direction instead of a copy pass plus a CRC pass.
+constexpr size_t kBlockBytes = size_t{64} << 10;
+
+// Appends `piece` to `out` and extends `*crc` over it, block by block.
+void AppendChecksummed(std::string* out, std::string_view piece,
+                       uint32_t* crc) {
+  while (!piece.empty()) {
+    const size_t block = std::min(piece.size(), kBlockBytes);
+    const size_t at = out->size();
+    out->append(piece.data(), block);
+    *crc = Crc32c(*crc, out->data() + at, block);
+    piece.remove_prefix(block);
+  }
+}
+
+// The bytes of `n` elements at `data` (little-endian host).
 template <typename T>
-void AppendArray(std::string* out, const T* data, size_t n) {
-  if (n == 0) return;
-  out->append(reinterpret_cast<const char*>(data), n * sizeof(T));
+std::string_view RawBytes(const T* data, size_t n) {
+  return std::string_view(reinterpret_cast<const char*>(data), n * sizeof(T));
 }
 
 // Copies a payload into a typed vector (memcpy: the payload may be
-// misaligned within the buffer, so no pointer reinterpretation).
+// misaligned within the buffer, so no pointer reinterpretation), checking
+// it against `crc` block by block as it goes. The copy lands before the
+// verdict, but nothing reads it unless the whole payload matches.
 template <typename T>
-std::vector<T> DecodeArray(std::string_view payload) {
+Result<std::vector<T>> DecodeChecked(std::string_view payload, uint32_t crc,
+                                     uint32_t kind) {
   std::vector<T> out(payload.size() / sizeof(T));
-  if (!out.empty()) {
-    std::memcpy(out.data(), payload.data(), out.size() * sizeof(T));
+  char* dst = reinterpret_cast<char*>(out.data());
+  uint32_t actual = 0;
+  for (size_t at = 0; at < payload.size(); at += kBlockBytes) {
+    const size_t block = std::min(payload.size() - at, kBlockBytes);
+    std::memcpy(dst + at, payload.data() + at, block);
+    actual = Crc32c(actual, dst + at, block);
+  }
+  if (actual != crc) {
+    return Status::DataLoss(std::string("section ") + SectionName(kind) +
+                            " checksum mismatch");
   }
   return out;
 }
@@ -202,7 +231,9 @@ Result<ParsedFile> ParseHeaderAndTable(std::string_view bytes) {
   const char* p = bytes.data();
   const uint32_t magic = GetU32(p);
   if (magic != kSnapshotMagic) {
-    return Status::DataLoss("bad magic 0x" + std::to_string(magic) +
+    char hex[9];
+    std::snprintf(hex, sizeof(hex), "%08x", magic);
+    return Status::DataLoss(std::string("bad magic 0x") + hex +
                             ": not a snapshot (or byte-order mismatch)");
   }
   const uint32_t header_crc = GetU32(p + 28);
@@ -315,33 +346,29 @@ std::vector<uint32_t> ExpectedKinds(uint32_t flags) {
   return kinds;
 }
 
-// Fetches section `kind`, requiring its length to be exactly
-// `count` × `element_size` bytes and its payload to match its CRC.
-Result<std::string_view> CheckedPayload(std::string_view bytes,
-                                        const ParsedFile& parsed,
-                                        uint32_t kind, uint64_t count,
-                                        uint64_t element_size,
-                                        ExecutionContext* context) {
+// Section `kind` as `count` elements of T: its length must be exactly
+// `count` × sizeof(T) bytes, the bytes are charged to the context, and the
+// payload must match its CRC (see DecodeChecked).
+template <typename T>
+Result<std::vector<T>> CheckedArray(std::string_view bytes,
+                                    const ParsedFile& parsed, uint32_t kind,
+                                    uint64_t count,
+                                    ExecutionContext* context) {
   const TableEntry* entry = FindSection(parsed, kind);
   if (entry == nullptr) {
     return Status::DataLoss(std::string("missing section ") +
                             SectionName(kind));
   }
-  const std::string name = SectionName(kind);
-  // count ≤ INT32_MAX+1 and element_size ≤ 8, so the product fits easily.
-  if (entry->length != count * element_size) {
-    return Status::DataLoss("section " + name + " is " +
-                            std::to_string(entry->length) +
+  // count ≤ INT32_MAX+1 and sizeof(T) ≤ 8, so the product fits easily.
+  if (entry->length != count * sizeof(T)) {
+    return Status::DataLoss(std::string("section ") + SectionName(kind) +
+                            " is " + std::to_string(entry->length) +
                             " bytes, expected " + std::to_string(count) +
-                            " × " + std::to_string(element_size));
+                            " × " + std::to_string(sizeof(T)));
   }
   Status charged = Charge(context, static_cast<int64_t>(entry->length));
   if (!charged.ok()) return charged;
-  const std::string_view payload = Payload(bytes, *entry);
-  if (Crc32c(payload.data(), payload.size()) != entry->crc) {
-    return Status::DataLoss("section " + name + " checksum mismatch");
-  }
-  return payload;
+  return DecodeChecked<T>(Payload(bytes, *entry), entry->crc, kind);
 }
 
 }  // namespace
@@ -390,34 +417,38 @@ Result<std::string> SerializeSnapshot(const Program& program,
   if (database != nullptr) flags |= kFlagHasDatabase;
   if (graph != nullptr) flags |= kFlagHasGraph;
 
-  // Build each payload in ascending kind order.
-  std::vector<std::pair<uint32_t, std::string>> sections;
-  sections.emplace_back(kMeta, EncodeMeta(meta));
-  {
-    std::string arities;
-    for (PredId pr = 0; pr < num_predicates; ++pr) {
-      PutU32(&arities, static_cast<uint32_t>(program.predicate(pr).arity));
-    }
-    sections.emplace_back(kArities, std::move(arities));
+  // Each payload, in ascending kind order, as the pieces it concatenates:
+  // the small vocabulary sections are encoded up front, the arenas are
+  // referenced where they live.
+  struct Section {
+    uint32_t kind;
+    std::vector<std::string_view> pieces;
+  };
+  std::vector<Section> sections;
+  const std::string meta_bytes = EncodeMeta(meta);
+  sections.push_back({kMeta, {meta_bytes}});
+  std::string arities;
+  for (PredId pr = 0; pr < num_predicates; ++pr) {
+    PutU32(&arities, static_cast<uint32_t>(program.predicate(pr).arity));
   }
+  sections.push_back({kArities, {arities}});
+  std::string num_rows;
   if (database != nullptr) {
-    std::string num_rows;
-    std::string rows;
+    Section rows{kDbRows, {}};
     for (PredId pr = 0; pr < num_predicates; ++pr) {
       PutU64(&num_rows, static_cast<uint64_t>(database->NumFacts(pr)));
-      AppendArray(&rows, database->FactData(pr),
-                  static_cast<size_t>(database->NumFacts(pr)) *
-                      static_cast<size_t>(database->arity(pr)));
+      rows.pieces.push_back(
+          RawBytes(database->FactData(pr),
+                   static_cast<size_t>(database->NumFacts(pr)) *
+                       static_cast<size_t>(database->arity(pr))));
     }
-    sections.emplace_back(kDbNumRows, std::move(num_rows));
-    sections.emplace_back(kDbRows, std::move(rows));
+    sections.push_back({kDbNumRows, {num_rows}});
+    sections.push_back(std::move(rows));
   }
   if (graph != nullptr) {
     const GroundAtomStore& atoms = graph->atoms();
     auto add = [&sections](uint32_t kind, auto span) {
-      std::string bytes;
-      AppendArray(&bytes, span.data(), span.size());
-      sections.emplace_back(kind, std::move(bytes));
+      sections.push_back({kind, {RawBytes(span.data(), span.size())}});
     };
     add(kAtomPredicates, atoms.atom_predicates());
     add(kAtomOffsets, atoms.arg_offsets());
@@ -438,18 +469,33 @@ Result<std::string> SerializeSnapshot(const Program& program,
   std::vector<TableEntry> entries(sections.size());
   uint64_t cursor = table_end;
   for (size_t i = 0; i < sections.size(); ++i) {
-    Status charged =
-        Charge(options.context, static_cast<int64_t>(sections[i].second.size()));
+    uint64_t length = 0;
+    for (std::string_view piece : sections[i].pieces) length += piece.size();
+    Status charged = Charge(options.context, static_cast<int64_t>(length));
     if (!charged.ok()) return charged;
-    entries[i].kind = sections[i].first;
+    entries[i].kind = sections[i].kind;
     entries[i].offset = Align8(cursor);
-    entries[i].length = sections[i].second.size();
-    entries[i].crc =
-        Crc32c(sections[i].second.data(), sections[i].second.size());
-    cursor = entries[i].offset + entries[i].length;
+    entries[i].length = length;
+    cursor = entries[i].offset + length;
   }
   const uint64_t file_length = cursor;
 
+  // One buffer, each payload copied into it once and checksummed in
+  // place; the header and table go in front once the CRCs are known.
+  std::string out;
+  out.reserve(file_length);
+  out.append(table_end, '\0');
+  for (size_t i = 0; i < sections.size(); ++i) {
+    out.append(entries[i].offset - out.size(), '\0');  // zero padding
+    uint32_t crc = 0;
+    for (std::string_view piece : sections[i].pieces) {
+      AppendChecksummed(&out, piece, &crc);
+    }
+    entries[i].crc = crc;
+  }
+
+  std::string head;
+  head.reserve(table_end);
   std::string table;
   table.reserve(sections.size() * kTableEntryLength);
   for (const TableEntry& entry : entries) {
@@ -460,21 +506,15 @@ Result<std::string> SerializeSnapshot(const Program& program,
     PutU32(&table, entry.crc);
     PutU32(&table, 0);  // reserved
   }
-
-  std::string out;
-  out.reserve(file_length);
-  PutU32(&out, kSnapshotMagic);
-  PutU32(&out, kSnapshotVersion);
-  PutU32(&out, flags);
-  PutU32(&out, static_cast<uint32_t>(sections.size()));
-  PutU64(&out, file_length);
-  PutU32(&out, Crc32c(table.data(), table.size()));
-  PutU32(&out, Crc32c(out.data(), out.size()));  // header CRC over [0, 28)
-  out += table;
-  for (size_t i = 0; i < sections.size(); ++i) {
-    out.append(entries[i].offset - out.size(), '\0');  // zero padding
-    out += sections[i].second;
-  }
+  PutU32(&head, kSnapshotMagic);
+  PutU32(&head, kSnapshotVersion);
+  PutU32(&head, flags);
+  PutU32(&head, static_cast<uint32_t>(sections.size()));
+  PutU64(&head, file_length);
+  PutU32(&head, Crc32c(table.data(), table.size()));
+  PutU32(&head, Crc32c(head.data(), head.size()));  // header CRC over [0, 28)
+  head += table;
+  std::memcpy(out.data(), head.data(), head.size());
   return out;
 }
 
@@ -502,20 +542,21 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
     }
   }
 
-  Result<std::string_view> meta_payload =
-      CheckedPayload(bytes, *parsed, kMeta, 1, kMetaLength, options.context);
+  Result<std::vector<char>> meta_payload = CheckedArray<char>(
+      bytes, *parsed, kMeta, kMetaLength, options.context);
   if (!meta_payload.ok()) return meta_payload.status();
-  Result<Meta> meta = DecodeMeta(*meta_payload);
+  Result<Meta> meta =
+      DecodeMeta(std::string_view(meta_payload->data(), meta_payload->size()));
   if (!meta.ok()) return meta.status();
   const uint64_t predicates = static_cast<uint64_t>(meta->num_predicates);
   const uint64_t atoms_count = static_cast<uint64_t>(meta->num_atoms);
   const uint64_t rules_count =
       static_cast<uint64_t>(meta->num_rule_instances);
 
-  Result<std::string_view> arities_payload = CheckedPayload(
-      bytes, *parsed, kArities, predicates, 4, options.context);
-  if (!arities_payload.ok()) return arities_payload.status();
-  const std::vector<int32_t> arities = DecodeArray<int32_t>(*arities_payload);
+  Result<std::vector<int32_t>> decoded_arities = CheckedArray<int32_t>(
+      bytes, *parsed, kArities, predicates, options.context);
+  if (!decoded_arities.ok()) return decoded_arities.status();
+  const std::vector<int32_t> arities = *std::move(decoded_arities);
   for (size_t pr = 0; pr < arities.size(); ++pr) {
     if (arities[pr] < 0) {
       return Status::DataLoss("predicate " + std::to_string(pr) +
@@ -558,10 +599,9 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
   contents.num_program_rules = meta->num_program_rules;
 
   if (parsed->flags & kFlagHasDatabase) {
-    Result<std::string_view> counts_payload = CheckedPayload(
-        bytes, *parsed, kDbNumRows, predicates, 8, options.context);
-    if (!counts_payload.ok()) return counts_payload.status();
-    std::vector<int64_t> num_rows = DecodeArray<int64_t>(*counts_payload);
+    Result<std::vector<int64_t>> num_rows = CheckedArray<int64_t>(
+        bytes, *parsed, kDbNumRows, predicates, options.context);
+    if (!num_rows.ok()) return num_rows.status();
 
     const TableEntry* rows_entry = FindSection(*parsed, kDbRows);
     // Present by the section-list check; its length is validated against
@@ -572,19 +612,18 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
     if (rows_entry->length % sizeof(ConstId) != 0) {
       return Status::DataLoss("db_rows length is not a whole id count");
     }
-    const std::string_view rows_payload = Payload(bytes, *rows_entry);
-    if (Crc32c(rows_payload.data(), rows_payload.size()) != rows_entry->crc) {
-      return Status::DataLoss("section db_rows checksum mismatch");
-    }
-    const std::vector<ConstId> flat = DecodeArray<ConstId>(rows_payload);
+    Result<std::vector<ConstId>> decoded_rows = DecodeChecked<ConstId>(
+        Payload(bytes, *rows_entry), rows_entry->crc, kDbRows);
+    if (!decoded_rows.ok()) return decoded_rows.status();
+    const std::vector<ConstId>& flat = *decoded_rows;
 
     // Slice the concatenated arena by the per-relation counts; every id
     // must be accounted for. Multiplications are guarded by division.
-    std::vector<std::vector<ConstId>> rows(num_rows.size());
+    std::vector<std::vector<ConstId>> rows(num_rows->size());
     int64_t facts = 0;
     uint64_t at = 0;
-    for (size_t pr = 0; pr < num_rows.size(); ++pr) {
-      const int64_t count = num_rows[pr];
+    for (size_t pr = 0; pr < num_rows->size(); ++pr) {
+      const int64_t count = (*num_rows)[pr];
       const int64_t arity = arities[pr];
       if (count < 0) {
         return Status::DataLoss("relation " + std::to_string(pr) +
@@ -611,7 +650,7 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
       return Status::DataLoss("meta total_facts disagrees with db_num_rows");
     }
     Result<Database> database =
-        Database::FromArenas(arities, std::move(num_rows), std::move(rows),
+        Database::FromArenas(arities, *std::move(num_rows), std::move(rows),
                              meta->num_constants);
     if (!database.ok()) return database.status();
     contents.database.emplace(*std::move(database));
@@ -620,26 +659,21 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
   }
 
   if (parsed->flags & kFlagHasGraph) {
-    Result<std::string_view> payload = CheckedPayload(
-        bytes, *parsed, kAtomPredicates, atoms_count, 4, options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<PredId> atom_preds = DecodeArray<PredId>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kAtomOffsets, atoms_count + 1, 8,
-                             options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<int64_t> atom_offsets = DecodeArray<int64_t>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kAtomArgs,
-                             static_cast<uint64_t>(meta->num_args), 4,
-                             options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<ConstId> atom_args = DecodeArray<ConstId>(*payload);
+    Result<std::vector<PredId>> atom_preds = CheckedArray<PredId>(
+        bytes, *parsed, kAtomPredicates, atoms_count, options.context);
+    if (!atom_preds.ok()) return atom_preds.status();
+    Result<std::vector<int64_t>> atom_offsets = CheckedArray<int64_t>(
+        bytes, *parsed, kAtomOffsets, atoms_count + 1, options.context);
+    if (!atom_offsets.ok()) return atom_offsets.status();
+    Result<std::vector<ConstId>> atom_args = CheckedArray<ConstId>(
+        bytes, *parsed, kAtomArgs, static_cast<uint64_t>(meta->num_args),
+        options.context);
+    if (!atom_args.ok()) return atom_args.status();
 
     Result<GroundAtomStore> store = GroundAtomStore::FromArenas(
-        Span<PredId>(atom_preds.data(), atom_preds.size()),
-        Span<int64_t>(atom_offsets.data(), atom_offsets.size()),
-        Span<ConstId>(atom_args.data(), atom_args.size()),
+        Span<PredId>(atom_preds->data(), atom_preds->size()),
+        Span<int64_t>(atom_offsets->data(), atom_offsets->size()),
+        Span<ConstId>(atom_args->data(), atom_args->size()),
         meta->num_predicates, meta->num_constants);
     if (!store.ok()) return store.status();
     // Atoms must respect the declared arities — the interpreters and the
@@ -654,53 +688,35 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
       }
     }
 
-    payload = CheckedPayload(bytes, *parsed, kRuleIndices, rules_count, 4,
-                             options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<int32_t> rule_indices = DecodeArray<int32_t>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kRuleHeads, rules_count, 4,
-                             options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<AtomId> heads = DecodeArray<AtomId>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kRulePosEnds, rules_count, 8,
-                             options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<int64_t> pos_ends = DecodeArray<int64_t>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kRuleBodyOffsets,
-                             rules_count + 1, 8, options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<int64_t> body_offsets = DecodeArray<int64_t>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kRuleBody,
-                             static_cast<uint64_t>(meta->num_body), 4,
-                             options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<AtomId> body = DecodeArray<AtomId>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kRuleBindingOffsets,
-                             rules_count + 1, 8, options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<int64_t> binding_offsets =
-        DecodeArray<int64_t>(*payload);
-
-    payload = CheckedPayload(bytes, *parsed, kRuleBindings,
-                             static_cast<uint64_t>(meta->num_bindings), 4,
-                             options.context);
-    if (!payload.ok()) return payload.status();
-    const std::vector<ConstId> bindings = DecodeArray<ConstId>(*payload);
+    Result<std::vector<int32_t>> rule_indices = CheckedArray<int32_t>(
+        bytes, *parsed, kRuleIndices, rules_count, options.context);
+    if (!rule_indices.ok()) return rule_indices.status();
+    Result<std::vector<AtomId>> heads = CheckedArray<AtomId>(
+        bytes, *parsed, kRuleHeads, rules_count, options.context);
+    if (!heads.ok()) return heads.status();
+    Result<std::vector<int64_t>> pos_ends = CheckedArray<int64_t>(
+        bytes, *parsed, kRulePosEnds, rules_count, options.context);
+    if (!pos_ends.ok()) return pos_ends.status();
+    Result<std::vector<int64_t>> body_offsets = CheckedArray<int64_t>(
+        bytes, *parsed, kRuleBodyOffsets, rules_count + 1, options.context);
+    if (!body_offsets.ok()) return body_offsets.status();
+    Result<std::vector<AtomId>> body = CheckedArray<AtomId>(
+        bytes, *parsed, kRuleBody, static_cast<uint64_t>(meta->num_body),
+        options.context);
+    if (!body.ok()) return body.status();
+    Result<std::vector<int64_t>> binding_offsets = CheckedArray<int64_t>(
+        bytes, *parsed, kRuleBindingOffsets, rules_count + 1,
+        options.context);
+    if (!binding_offsets.ok()) return binding_offsets.status();
+    Result<std::vector<ConstId>> bindings = CheckedArray<ConstId>(
+        bytes, *parsed, kRuleBindings,
+        static_cast<uint64_t>(meta->num_bindings), options.context);
+    if (!bindings.ok()) return bindings.status();
 
     Result<GroundGraph> graph = GroundGraph::FromArenas(
-        *std::move(store),
-        Span<int32_t>(rule_indices.data(), rule_indices.size()),
-        Span<AtomId>(heads.data(), heads.size()),
-        Span<int64_t>(pos_ends.data(), pos_ends.size()),
-        Span<int64_t>(body_offsets.data(), body_offsets.size()),
-        Span<AtomId>(body.data(), body.size()),
-        Span<int64_t>(binding_offsets.data(), binding_offsets.size()),
-        Span<ConstId>(bindings.data(), bindings.size()),
+        *std::move(store), *std::move(rule_indices), *std::move(heads),
+        *std::move(pos_ends), *std::move(body_offsets), *std::move(body),
+        *std::move(binding_offsets), *std::move(bindings),
         meta->num_constants, meta->num_program_rules);
     if (!graph.ok()) return graph.status();
     contents.graph.emplace(*std::move(graph));
@@ -761,6 +777,21 @@ Result<SnapshotInfo> ReadSnapshotInfo(std::string_view bytes) {
     }
   }
   return info;
+}
+
+Result<uint32_t> SnapshotFileCrc(std::string_view bytes) {
+  Result<ParsedFile> parsed = ParseHeaderAndTable(bytes);
+  if (!parsed.ok()) return parsed.status();
+  // Header and table bytes are read; each payload contributes through its
+  // recorded CRC, and the zero padding before it through its own bytes.
+  uint64_t cursor = kHeaderLength + parsed->entries.size() * kTableEntryLength;
+  uint32_t crc = Crc32c(bytes.data(), cursor);
+  for (const TableEntry& entry : parsed->entries) {
+    crc = Crc32c(crc, bytes.data() + cursor, entry.offset - cursor);
+    crc = Crc32cCombine(crc, entry.crc, entry.length);
+    cursor = entry.offset + entry.length;
+  }
+  return crc;
 }
 
 }  // namespace storage

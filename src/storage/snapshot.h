@@ -148,6 +148,15 @@ Result<SnapshotContents> LoadSnapshotFile(
 /// malformed — individual payload corruption is reported per section.
 Result<SnapshotInfo> ReadSnapshotInfo(std::string_view bytes);
 
+/// CRC32C of the whole snapshot file `bytes`, derived from its header,
+/// section table and padding bytes and the payload CRCs the table records
+/// — the payloads themselves are not read (Crc32cCombine). It equals
+/// Crc32c(bytes) exactly when every payload matches its recorded CRC:
+/// true of SerializeSnapshot's output, and proven for a buffer by a
+/// successful LoadSnapshotFromBuffer, which is when the generation store
+/// uses it. kDataLoss when the header or table is malformed.
+Result<uint32_t> SnapshotFileCrc(std::string_view bytes);
+
 }  // namespace storage
 }  // namespace tiebreak
 

@@ -46,10 +46,11 @@ std::string CrcHex(uint32_t crc) {
 // MANIFEST text: a magic line, one "file <name> <bytes> <crc32c>" line per
 // payload file, and a final "crc <crc32c>" line checksumming everything
 // before it — so a torn MANIFEST write is itself detectable.
-std::string BuildManifest(const std::string& name, std::string_view bytes) {
+std::string BuildManifest(const std::string& name, uint64_t length,
+                          uint32_t crc) {
   std::string body = std::string(kManifestMagic) + "\n";
-  body += "file " + name + " " + std::to_string(bytes.size()) + " " +
-          CrcHex(Crc32c(bytes.data(), bytes.size())) + "\n";
+  body += "file " + name + " " + std::to_string(length) + " " + CrcHex(crc) +
+          "\n";
   return body + "crc " + CrcHex(Crc32c(body.data(), body.size())) + "\n";
 }
 
@@ -126,7 +127,12 @@ Result<std::vector<ManifestEntry>> ParseManifest(std::string_view text) {
 }
 
 // Full validation of one generation directory: MANIFEST self-check, the
-// exact file set, per-file sizes and CRCs, then the snapshot load itself.
+// exact file set, per-file sizes, the snapshot load itself, then the
+// snapshot's MANIFEST CRC. That CRC is derived from the section CRCs
+// (SnapshotFileCrc), so it is compared only after the load has verified
+// every one of them: a corrupted snapshot is rejected by its own header,
+// table or section CRC first, and the MANIFEST comparison catches a
+// self-consistent snapshot that is not the one the MANIFEST recorded.
 Result<SnapshotContents> OpenGeneration(const std::string& dir,
                                         const SnapshotReadOptions& options) {
   Result<std::string> manifest_text =
@@ -147,7 +153,7 @@ Result<SnapshotContents> OpenGeneration(const std::string& dir,
   }
 
   std::string snapshot_bytes;
-  bool have_snapshot = false;
+  const ManifestEntry* snapshot_entry = nullptr;
   for (const ManifestEntry& entry : *entries) {
     Result<std::string> bytes = ReadFileToString(dir + "/" + entry.name);
     if (!bytes.ok()) return bytes.status();
@@ -157,19 +163,27 @@ Result<SnapshotContents> OpenGeneration(const std::string& dir,
                               " bytes, manifest says " +
                               std::to_string(entry.length));
     }
-    if (Crc32c(bytes->data(), bytes->size()) != entry.crc) {
+    if (entry.name == kSnapshotFileName) {
+      snapshot_entry = &entry;
+      snapshot_bytes = *std::move(bytes);
+    } else if (Crc32c(bytes->data(), bytes->size()) != entry.crc) {
       return Status::DataLoss(entry.name + " fails its manifest checksum");
     }
-    if (entry.name == kSnapshotFileName) {
-      have_snapshot = true;
-      snapshot_bytes = *std::move(bytes);
-    }
   }
-  if (!have_snapshot) {
+  if (snapshot_entry == nullptr) {
     return Status::DataLoss("manifest does not list " +
                             std::string(kSnapshotFileName));
   }
-  return LoadSnapshotFromBuffer(snapshot_bytes, options);
+  Result<SnapshotContents> contents =
+      LoadSnapshotFromBuffer(snapshot_bytes, options);
+  if (!contents.ok()) return contents.status();
+  Result<uint32_t> file_crc = SnapshotFileCrc(snapshot_bytes);
+  if (!file_crc.ok()) return file_crc.status();
+  if (*file_crc != snapshot_entry->crc) {
+    return Status::DataLoss(std::string(kSnapshotFileName) +
+                            " fails its manifest checksum");
+  }
+  return contents;
 }
 
 }  // namespace
@@ -217,6 +231,10 @@ Result<int64_t> SnapshotStore::WriteGeneration(
   Result<std::string> bytes =
       SerializeSnapshot(program, database, graph, options);
   if (!bytes.ok()) return bytes.status();
+  // Folded from the section CRCs SerializeSnapshot just computed; the
+  // payloads are not read again.
+  Result<uint32_t> file_crc = SnapshotFileCrc(*bytes);
+  if (!file_crc.ok()) return file_crc.status();
 
   const std::string final_name = GenerationName(next);
   const std::string staging = root_ + "/" + kStagingPrefix + final_name;
@@ -225,8 +243,9 @@ Result<int64_t> SnapshotStore::WriteGeneration(
     step = WriteFileDurable(staging + "/" + kSnapshotFileName, *bytes);
   }
   if (step.ok()) {
-    step = WriteFileDurable(staging + "/" + kManifestFileName,
-                            BuildManifest(kSnapshotFileName, *bytes));
+    step = WriteFileDurable(
+        staging + "/" + kManifestFileName,
+        BuildManifest(kSnapshotFileName, bytes->size(), *file_crc));
   }
   if (step.ok()) {
     step = RenameDurable(staging, root_ + "/" + final_name);

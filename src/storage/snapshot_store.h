@@ -23,6 +23,13 @@
 // newer generation was skipped. Corrupting the newest generation
 // therefore costs at most that generation, not the store.
 //
+// Each direction checksums the snapshot's bytes once: the writer CRCs
+// every section as it serializes and folds those CRCs into the MANIFEST's
+// whole-file CRC (SnapshotFileCrc); the reader verifies every section CRC
+// during the load and only then derives the whole-file CRC the same way
+// and compares it with the MANIFEST. The value compared is the CRC32C of
+// the file's bytes, exactly as an external tool would compute it.
+//
 // Concurrency: one writer at a time per root (generation numbering is
 // read-modify-write); concurrent readers are safe since published
 // generations are immutable.
@@ -79,8 +86,8 @@ class SnapshotStore {
   Result<std::vector<Generation>> ListGenerations() const;
 
   /// Recovers the newest fully-valid generation: MANIFEST checks (file
-  /// list, sizes, CRCs, manifest self-checksum) and then the full
-  /// snapshot load must all pass. Generations that fail are skipped with
+  /// list, sizes, manifest self-checksum), the full snapshot load and
+  /// then the MANIFEST's file CRCs must all pass. Generations that fail are skipped with
   /// a recorded reason. kNotFound when no generation exists at all,
   /// kDataLoss when generations exist but none validates.
   Result<LoadedGeneration> LoadLatest(

@@ -63,11 +63,18 @@ Result<std::string> ReadFileToString(const std::string& path) {
   std::string out;
   struct stat st;
   if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
-    out.reserve(static_cast<size_t>(st.st_size));
+    out.resize(static_cast<size_t>(st.st_size));
   }
+  // Read straight into the result at its stat'd size; then keep reading
+  // through a small buffer in case the file is longer than fstat said (it
+  // grew, or it is not a regular file).
+  size_t got = 0;
   char buffer[1 << 16];
   while (true) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    const bool in_place = got < out.size();
+    char* dst = in_place ? out.data() + got : buffer;
+    const size_t room = in_place ? out.size() - got : sizeof(buffer);
+    const ssize_t n = ::read(fd, dst, room);
     if (n < 0) {
       if (errno == EINTR) continue;
       const int err = errno;
@@ -75,9 +82,15 @@ Result<std::string> ReadFileToString(const std::string& path) {
       return ErrnoStatus("read", path, err);
     }
     if (n == 0) break;
-    out.append(buffer, static_cast<size_t>(n));
+    if (in_place) {
+      got += static_cast<size_t>(n);
+    } else {
+      out.append(buffer, static_cast<size_t>(n));
+      got = out.size();
+    }
   }
   ::close(fd);
+  out.resize(got);  // a file that shrank since fstat
   return out;
 }
 

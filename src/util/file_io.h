@@ -17,7 +17,8 @@
 
 namespace tiebreak {
 
-/// Reads the whole file into a string. kNotFound when the path does not
+/// Reads the whole file into a string, straight into the result buffer
+/// (sized from fstat; no bounce copy). kNotFound when the path does not
 /// exist; kInternal on other I/O errors.
 Result<std::string> ReadFileToString(const std::string& path);
 

@@ -228,6 +228,16 @@ TEST_F(CorruptionTest, RandomMutationsNeverCrash) {
   }
 }
 
+TEST_F(CorruptionTest, BadMagicIsReportedInHex) {
+  std::string mutated = valid_;
+  PutU32At(&mutated, 0, 0xdeadbeefu);
+  Result<SnapshotContents> loaded = LoadSnapshotFromBuffer(mutated);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("0xdeadbeef"), std::string::npos)
+      << loaded.status().message();
+}
+
 TEST_F(CorruptionTest, HostileHeadersNeverCrash) {
   // Hand-built headers with adversarial counts and lengths: correct magic
   // and CRCs, hostile everything else.

@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "storage/snapshot_store.h"
 #include "test_util.h"
+#include "util/crc32c.h"
 #include "util/execution_context.h"
 #include "util/file_io.h"
 #include "workload/databases.h"
@@ -26,6 +27,7 @@ namespace {
 using storage::LoadSnapshotFromBuffer;
 using storage::ReadSnapshotInfo;
 using storage::SerializeSnapshot;
+using storage::SnapshotFileCrc;
 using storage::SnapshotContents;
 using storage::SnapshotInfo;
 using storage::SnapshotReadOptions;
@@ -132,6 +134,24 @@ TEST(SnapshotTest, UnfinalizedGraphIsRejected) {
   GroundGraph graph;  // never finalized
   EXPECT_EQ(SerializeSnapshot(inst.program, nullptr, &graph).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotTest, DerivedFileCrcEqualsOnePassCrc) {
+  Instance inst = ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                "move(a, b). move(b, c). move(c, a).");
+  const GroundingResult g = GroundOrDie(inst);
+  const Database* databases[] = {&inst.database, &inst.database, nullptr};
+  const GroundGraph* graphs[] = {&g.graph, nullptr, &g.graph};
+  for (int i = 0; i < 3; ++i) {
+    Result<std::string> bytes =
+        SerializeSnapshot(inst.program, databases[i], graphs[i]);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    Result<uint32_t> derived = SnapshotFileCrc(*bytes);
+    ASSERT_TRUE(derived.ok()) << derived.status().ToString();
+    EXPECT_EQ(*derived, Crc32c(*bytes)) << "variant " << i;
+  }
+  EXPECT_EQ(SnapshotFileCrc("not a snapshot").status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(SnapshotTest, InfoReportsCountsAndSections) {
@@ -371,6 +391,84 @@ TEST(SnapshotStoreTest, WriteListLoadLatest) {
   for (const SnapshotStore::VerifyReport& report : store.VerifyAll(read)) {
     EXPECT_TRUE(report.status.ok()) << report.generation;
   }
+  EXPECT_TRUE(RemoveAll(root).ok());
+}
+
+// The "file snapshot.tbs <bytes> <crc>" line of a generation's MANIFEST.
+uint32_t ManifestSnapshotCrc(const std::string& generation_dir) {
+  Result<std::string> manifest =
+      ReadFileToString(generation_dir + "/MANIFEST");
+  EXPECT_TRUE(manifest.ok());
+  const size_t line = manifest->find("\nfile snapshot.tbs ");
+  EXPECT_NE(line, std::string::npos) << *manifest;
+  const size_t crc_at = manifest->find(' ', line + 19) + 1;
+  return static_cast<uint32_t>(
+      std::stoul(manifest->substr(crc_at, 8), nullptr, 16));
+}
+
+TEST(SnapshotStoreTest, ManifestCrcIsTheOnePassFileCrc) {
+  // The writer folds the MANIFEST's file CRC from the section CRCs; an
+  // independent one-pass CRC of the file on disk must agree, or a combine
+  // that is wrong on both the write and the read side would go unseen.
+  const std::string root = TestTempDir("tiebreak_store_crc") + "/snaps";
+  Instance inst = ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                "move(a, b). move(b, c). move(c, d).");
+  const GroundingResult g = GroundOrDie(inst);
+  SnapshotStore store(root);
+  ASSERT_TRUE(
+      store.WriteGeneration(inst.program, &inst.database, &g.graph).ok());
+  ASSERT_TRUE(store.WriteGeneration(inst.program, &inst.database, nullptr)
+                  .ok());
+  ASSERT_TRUE(store.WriteGeneration(inst.program, nullptr, &g.graph).ok());
+  for (const char* gen : {"gen-00000001", "gen-00000002", "gen-00000003"}) {
+    const std::string dir = root + "/" + gen;
+    Result<std::string> bytes = ReadFileToString(dir + "/snapshot.tbs");
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(ManifestSnapshotCrc(dir), Crc32c(*bytes)) << gen;
+  }
+  EXPECT_TRUE(RemoveAll(root).ok());
+}
+
+TEST(SnapshotStoreTest, ValidSnapshotUnderAnotherManifestIsDataLoss) {
+  // A snapshot that is valid on its own and as long as the one its
+  // MANIFEST recorded, but not that one: every section CRC passes, so
+  // only the MANIFEST's file CRC can reject it.
+  const std::string root = TestTempDir("tiebreak_store_swap") + "/snaps";
+  Instance first = ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                 "move(a, b). move(b, c).");
+  Instance second = ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                  "move(a, b). move(c, b).");
+  const GroundingResult g1 = GroundOrDie(first);
+  const GroundingResult g2 = GroundOrDie(second);
+  Result<std::string> other =
+      SerializeSnapshot(second.program, &second.database, &g2.graph);
+  ASSERT_TRUE(other.ok());
+  SnapshotStore store(root);
+  ASSERT_TRUE(
+      store.WriteGeneration(first.program, &first.database, &g1.graph).ok());
+  ASSERT_TRUE(
+      store.WriteGeneration(first.program, &first.database, &g1.graph).ok());
+  const std::string snap2 = root + "/gen-00000002/snapshot.tbs";
+  Result<std::string> original = ReadFileToString(snap2);
+  ASSERT_TRUE(original.ok());
+  ASSERT_EQ(other->size(), original->size());
+  ASSERT_NE(*other, *original);
+  ASSERT_TRUE(LoadSnapshotFromBuffer(*other).ok());
+  ASSERT_TRUE(WriteFileAtomic(snap2, *other).ok());
+
+  Result<std::vector<SnapshotStore::Generation>> generations =
+      store.ListGenerations();
+  ASSERT_TRUE(generations.ok());
+  ASSERT_EQ(generations->size(), 2u);
+  const Status verdict = store.VerifyGeneration((*generations)[1]);
+  EXPECT_EQ(verdict.code(), StatusCode::kDataLoss) << verdict.ToString();
+  Result<SnapshotStore::LoadedGeneration> latest = store.LoadLatest();
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->generation, 1);
+  ASSERT_EQ(latest->skipped.size(), 1u);
+  EXPECT_NE(latest->skipped[0].find("manifest checksum"), std::string::npos)
+      << latest->skipped[0];
+  EXPECT_TRUE(*latest->contents.database == first.database);
   EXPECT_TRUE(RemoveAll(root).ok());
 }
 

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -108,6 +109,56 @@ TEST(Crc32cTest, SensitiveToEveryBit) {
     data[i / 8] ^= static_cast<char>(1 << (i % 8));
     EXPECT_NE(Crc32c(data), base) << "flip of bit " << i << " undetected";
     data[i / 8] ^= static_cast<char>(1 << (i % 8));
+  }
+}
+
+TEST(Crc32cTest, CombineMatchesOneShotOverRandomSplits) {
+  Rng rng(0x5EED);
+  std::string data(4096, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Below(256));
+  // Two cut points per round, so pieces of every kind appear — empty
+  // ones included (cuts at the ends or at the same place).
+  for (int round = 0; round < 300; ++round) {
+    const size_t length = rng.Below(data.size() + 1);
+    size_t a = rng.Below(length + 1);
+    size_t b = rng.Below(length + 1);
+    if (a > b) std::swap(a, b);
+    if (round % 10 == 0) b = a;  // force an empty middle piece
+    const uint32_t whole = Crc32c(data.data(), length);
+    const uint32_t c0 = Crc32c(data.data(), a);
+    const uint32_t c1 = Crc32c(data.data() + a, b - a);
+    const uint32_t c2 = Crc32c(data.data() + b, length - b);
+    const uint32_t folded =
+        Crc32cCombine(Crc32cCombine(c0, c1, b - a), c2, length - b);
+    EXPECT_EQ(folded, whole) << "length " << length << " cuts " << a << ", "
+                             << b;
+  }
+  EXPECT_EQ(Crc32cCombine(Crc32c("abc"), Crc32c(""), 0), Crc32c("abc"));
+  EXPECT_EQ(Crc32cCombine(Crc32c(""), Crc32c("abc"), 3), Crc32c("abc"));
+  EXPECT_EQ(Crc32cCombine(0, 0, 0), 0u);
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableAtEveryAlignment) {
+  // Crc32c runs the SSE4.2 instruction where the CPU has it; it must agree
+  // with the slice-by-8 reference at every start alignment, across the
+  // head/body/tail boundaries of both loops, and on a long buffer.
+  Rng rng(0xA1161);
+  std::vector<unsigned char> data((size_t{1} << 20) + 16);
+  for (unsigned char& c : data) c = static_cast<unsigned char>(rng.Below(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const unsigned char* p = data.data() + start;
+      ASSERT_EQ(Crc32c(0, p, length), Crc32cPortable(0, p, length))
+          << "start " << start << " length " << length;
+      // A nonzero running CRC must carry through the same way.
+      ASSERT_EQ(Crc32c(0x12345678u, p, length),
+                Crc32cPortable(0x12345678u, p, length))
+          << "start " << start << " length " << length;
+    }
+    const size_t mib = size_t{1} << 20;
+    EXPECT_EQ(Crc32c(0, data.data() + start, mib),
+              Crc32cPortable(0, data.data() + start, mib))
+        << "1 MiB at start " << start;
   }
 }
 
