@@ -96,13 +96,17 @@ uint32_t MultModP(uint32_t a, uint32_t b) {
   return product;
 }
 
-// x^(2^k) mod P for k = 0..31, by repeated squaring of x (1 << 30).
+// x^(2^k) mod P for every k X8nModP can ask for: 8n = 2^3 · n with n up
+// to 64 bits, so k = 0..66. zlib keeps only 32 entries and wraps k, which
+// is sound for the primitive CRC-32 polynomial (x^(2^32) ≡ x there) but
+// not for CRC32C, whose polynomial has the factor x + 1.
 struct PowerTable {
-  uint32_t x2n[32];
+  static constexpr int kSize = 3 + 64;
+  uint32_t x2n[kSize];
   PowerTable() {
-    uint32_t p = 1u << 30;
+    uint32_t p = 1u << 30;  // x^1
     x2n[0] = p;
-    for (int k = 1; k < 32; ++k) x2n[k] = p = MultModP(p, p);
+    for (int k = 1; k < kSize; ++k) x2n[k] = p = MultModP(p, p);
   }
 };
 
@@ -111,7 +115,7 @@ uint32_t X8nModP(uint64_t n) {
   static const PowerTable table;
   uint32_t p = 1u << 31;  // x^0
   for (int k = 3; n != 0; n >>= 1, ++k) {
-    if (n & 1) p = MultModP(table.x2n[k & 31], p);
+    if (n & 1) p = MultModP(table.x2n[k], p);
   }
   return p;
 }

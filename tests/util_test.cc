@@ -138,6 +138,29 @@ TEST(Crc32cTest, CombineMatchesOneShotOverRandomSplits) {
   EXPECT_EQ(Crc32cCombine(0, 0, 0), 0u);
 }
 
+TEST(Crc32cTest, CombineComposesAtLengthsPastFourGiB) {
+  // Crc32cCombine(a, 0, n) shifts `a` past n bytes, so shifting twice by n
+  // must equal shifting once by 2n, and by m then n must equal by m + n.
+  // That holds only if every x^(2^k) mod P the combine uses is right,
+  // which the byte-level tests above cannot reach for k >= 32 (lengths of
+  // 512 MiB and more) without allocating that much.
+  const uint32_t a = Crc32c("tie-breaking");
+  for (int bits : {28, 29, 31, 32, 39, 40, 62}) {
+    const uint64_t n = uint64_t{1} << bits;
+    EXPECT_EQ(Crc32cCombine(Crc32cCombine(a, 0, n), 0, n),
+              Crc32cCombine(a, 0, 2 * n))
+        << "2 x 2^" << bits;
+  }
+  Rng rng(0xC0B1);
+  for (int round = 0; round < 100; ++round) {
+    const uint64_t m = rng.Next() >> 1;  // m + n stays below 2^64
+    const uint64_t n = rng.Next() >> 1;
+    EXPECT_EQ(Crc32cCombine(Crc32cCombine(a, 0, m), 0, n),
+              Crc32cCombine(a, 0, m + n))
+        << m << " + " << n;
+  }
+}
+
 TEST(Crc32cTest, DispatchedPathMatchesPortableAtEveryAlignment) {
   // Crc32c runs the SSE4.2 instruction where the CPU has it; it must agree
   // with the slice-by-8 reference at every start alignment, across the
