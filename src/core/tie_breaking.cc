@@ -8,10 +8,11 @@
 
 namespace tiebreak {
 
-// Component enumeration order and Lemma-1 side orientation match the old
-// BuildLiveGraph + ComputeScc + CheckTie route exactly (same Tarjan ids,
-// same member order; ground/ground_scc.h documents the contract), so
-// default-policy choice sequences are unchanged.
+// Component enumeration order and Lemma-1 side orientation match
+// ComputeScc + CheckTie over the materialized live graph exactly (same
+// Tarjan ids, same member order; ground/ground_scc.h documents the
+// contract, tests/live_graph.h is the oracle), so default-policy choice
+// sequences do not depend on which route computes them.
 std::vector<TieView> FindBottomTies(const CloseState& state) {
   const GroundGraph& graph = state.graph();
   const GroundLiveness live{state.values().data(), state.rule_dead().data()};

@@ -959,16 +959,20 @@ Result<Database> EvaluateStratified(const Program& program,
   if (stats == nullptr) stats = &local_stats;
 
   const int32_t num_preds = program.num_predicates();
-  // Probe masks are 32-bit column sets, so the set-at-a-time engine caps
-  // arity at kEngineMaxArity (the ground-graph interpreters in core/ have
-  // no such cap).
-  for (PredId p = 0; p < num_preds; ++p) {
-    if (program.predicate(p).arity > kEngineMaxArity) {
-      return Status::InvalidArgument(
-          "predicate " + program.predicate_name(p) + " has arity > " +
-          std::to_string(kEngineMaxArity) +
-          "; the relational engine supports at most " +
-          std::to_string(kEngineMaxArity));
+  // Probe masks are 32-bit column sets over body atoms, so the
+  // set-at-a-time engine caps the arity of every predicate a rule body
+  // reads at kEngineMaxArity. Head-only predicates are never probed and
+  // take any arity (the ground-graph interpreters in core/ have no cap).
+  for (const Rule& rule : program.rules()) {
+    for (const Literal& literal : rule.body) {
+      const PredId p = literal.atom.predicate;
+      if (program.predicate(p).arity > kEngineMaxArity) {
+        return Status::InvalidArgument(
+            "predicate " + program.predicate_name(p) + " has arity > " +
+            std::to_string(kEngineMaxArity) +
+            "; the relational engine joins at most " +
+            std::to_string(kEngineMaxArity) + " columns");
+      }
     }
   }
   std::vector<Relation> relations;

@@ -108,9 +108,12 @@ class ExecutionContext;
 /// Returns OK iff every rule of `program` is range-restricted.
 Status CheckSafety(const Program& program);
 
-/// Maximum predicate arity the relational engine evaluates (probe masks
-/// are 32-bit column sets). EvaluateStratified rejects wider programs with
-/// INVALID_ARGUMENT; the grounder plans around this cap.
+/// Maximum arity of a predicate a rule body reads (probe masks are 32-bit
+/// column sets over body atoms). EvaluateStratified rejects a program whose
+/// rule bodies read a wider predicate with INVALID_ARGUMENT; head-only
+/// predicates take any arity. Ground rejects a rule whose positive EDB
+/// literal is wider, since those literals are the bodies it hands the
+/// engine.
 inline constexpr int32_t kEngineMaxArity = 32;
 
 /// Which join-kernel implementation the evaluator runs. All kernels compute

@@ -27,6 +27,7 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// Persistent close(M, G) state over one ground graph.
@@ -70,6 +71,9 @@ class CloseState {
     Drain();
   }
 
+  /// Current truth of `atom`; kUndef while it is still live. The two
+  /// liveness tests below read the same state: a live atom is undefined,
+  /// a live rule node is not yet deleted.
   Truth Value(AtomId atom) const {
     TIEBREAK_CHECK_GE(atom, 0);
     TIEBREAK_CHECK_LT(atom, graph_->num_atoms());
@@ -78,6 +82,7 @@ class CloseState {
   bool AtomLive(AtomId atom) const { return Value(atom) == Truth::kUndef; }
   bool RuleLive(int32_t rule) const { return rule_dead_[rule] == 0; }
 
+  /// Number of atoms still undefined; IsTotal() when it reaches zero.
   int32_t num_live_atoms() const { return num_live_atoms_; }
   bool IsTotal() const { return num_live_atoms_ == 0; }
 

@@ -23,9 +23,9 @@
 //    as three CSR adjacency structures in one counting pass each: count
 //    per-atom degrees, prefix-sum into offsets, then scatter the rule ids.
 //
-// Every algorithm of the paper reads the graph through these spans; an
-// explicit SignedDigraph over the *live* nodes is constructed by
-// ground/live_graph.h only when the tie-breaking interpreters need SCCs.
+// Every algorithm of the paper reads the graph through these spans,
+// including the SCC condensation and the Lemma-1 tie test
+// (ground/ground_scc.h); no SignedDigraph copy of the graph is built.
 #ifndef TIEBREAK_GROUND_GROUND_GRAPH_H_
 #define TIEBREAK_GROUND_GROUND_GRAPH_H_
 

@@ -29,7 +29,7 @@ struct GroundAdjacency {
     const int32_t num_atoms = graph->num_atoms();
     if (node < num_atoms) {
       // Merged consumer walk: ascending rule id, positive before negative
-      // on ties — the live_graph.cc edge insertion order (see the
+      // on ties — the rule-by-rule materialized edge order (see the
       // ground_scc.h file comment). Dead rules carry no edges.
       const IdSpan pos = graph->PositiveConsumers(node);
       const IdSpan neg = graph->NegativeConsumers(node);

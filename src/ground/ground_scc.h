@@ -6,16 +6,18 @@
 // num_atoms + r. Edges follow the paper's ground graph: positive body atom
 // -> rule (positive), negated body atom -> rule (negative), rule -> head
 // (positive). A GroundLiveness restricts everything to the live subgraph
-// (undefined atoms, un-dead rules), exactly the graph ground/live_graph.h
-// used to materialize.
+// (undefined atoms, un-dead rules), exactly the graph the test oracle
+// tests/live_graph.h materializes.
 //
 // Equivalence contract: ComputeGroundScc reproduces ComputeScc over the
 // materialized graph *exactly* — same component ids, same member order —
 // because an atom's neighbors are enumerated by merging its positive and
 // negative consumer spans in ascending rule order with positive first on
-// ties, which is precisely the edge insertion order of live_graph.cc /
-// perfect_model's FullGraph (both consumer spans are ascending by
-// GroundGraph::Finalize construction). The tie-breaking interpreters depend
+// ties (both consumer spans are ascending by GroundGraph::Finalize
+// construction), which is precisely the edge insertion order of a
+// SignedDigraph materialized rule by rule: tests/live_graph.h for the live
+// subgraph, interpreter_parallel_test's MaterializeFullGraph for the full
+// graph. The tie-breaking interpreters depend
 // on this: Lemma-1 partition sides are labeled relative to members.front(),
 // so a different DFS order would silently flip default-policy tie
 // orientations. interpreter_parallel_test.cc asserts the equivalence on
@@ -41,6 +43,7 @@ struct GroundLiveness {
   /// Per-rule dead flag; a rule is live iff 0. Null = all rules live.
   const char* rule_dead = nullptr;
 
+  /// Whether atom `a` / rule instance `r` is in the live subgraph.
   bool AtomLive(AtomId a) const {
     return atom_value == nullptr || atom_value[a] == Truth::kUndef;
   }

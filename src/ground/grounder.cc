@@ -102,22 +102,12 @@ class GrounderImpl {
       Status s = InternAllAtoms();
       if (!s.ok()) return s;
     }
-    if (options_.reduce_edb && options_.engine_bindings) {
-      Status s = GroundReducedEngine();
-      if (!s.ok()) return s;
-    } else if (options_.reduce_edb && num_threads_ > 1) {
-      // Legacy bindings, parallel: one backtracking-join job per rule.
-      std::vector<EmitJob> jobs;
-      for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
-      }
-      Status s = EmitJobs(/*plans=*/nullptr, /*bound_db=*/nullptr, jobs);
+    if (options_.reduce_edb) {
+      Status s = GroundReduced();
       if (!s.ok()) return s;
     } else {
       for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        Status s = options_.reduce_edb
-                       ? GroundRuleReducedLegacy(&root_ctx_, r)
-                       : GroundRuleFaithful(r);
+        Status s = GroundRuleFaithful(r);
         if (!s.ok()) return s;
       }
     }
@@ -158,23 +148,26 @@ class GrounderImpl {
     int32_t block_interned[kEmitBlock] = {};
   };
 
-  // One parallel emission job: either a row range of one rule's binding
-  // relation, or a whole rule grounded by the backtracking join /
-  // free-variable enumeration.
+  // One parallel emission job: a row range of one rule's binding rows.
   struct EmitJob {
     int32_t rule = -1;
-    bool whole_rule = false;
     int64_t row_begin = 0;
     int64_t row_end = 0;
   };
 
-  // Per-rule binding plan of the engine-backed path.
+  // Per-rule binding plan of the reduced path: the generator literals, the
+  // variables they bind, and the rule's binding rows (row-major over
+  // bound_vars). A generator-free rule has one zero-arity virtual row.
   struct BindPlan {
     std::vector<int32_t> generators;
     std::vector<int32_t> bound_vars;  // ascending variable indexes
     PredId bind_pred = -1;            // in the binding program
-    bool legacy = false;              // fallback: backtracking join
+    const ConstId* rows = nullptr;
+    int64_t num_rows = 0;
   };
+
+  // The virtual binding row of a generator-free rule (zero values read).
+  static constexpr ConstId kVirtualRow[1] = {-1};
 
   static Status Exhausted() {
     return Status::ResourceExhausted(
@@ -332,27 +325,17 @@ class GrounderImpl {
     return generators;
   }
 
-  // Engine-backed reduced grounding: compile each rule's generator
-  // conjunction into a "binding rule" over a derived program, evaluate the
-  // whole batch with the relational engine (borrowing Δ's fact arenas —
-  // zero copies in), then stream the materialized binding rows into
-  // instance emission, batched and (num_threads > 1) sharded over the
-  // pool. See grounder.h.
-  Status GroundReducedEngine() {
+  // Reduced grounding: compile each rule's generator conjunction into a
+  // "binding rule" over a derived program, evaluate the whole batch with
+  // the relational engine (borrowing Δ's fact arenas — zero copies in),
+  // then stream the materialized binding rows into instance emission,
+  // batched and (num_threads > 1) sharded over the pool. See grounder.h.
+  Status GroundReduced() {
     std::vector<BindPlan> plans(program_.num_rules());
-
-    bool engine_eligible = true;
-    for (PredId p = 0; p < program_.num_predicates(); ++p) {
-      if (program_.predicate(p).arity > kEngineMaxArity) {
-        engine_eligible = false;  // the engine rejects the whole program
-      }
-    }
-
-    bool any_engine = false;
     // The binding program shares the source vocabulary under identical
     // predicate/constant ids: one copy of the flat symbol tables.
-    Program bind_program;
-    if (engine_eligible) bind_program = program_.VocabularyCopy();
+    Program bind_program = program_.VocabularyCopy();
+    bool any_generators = false;
     // EDB predicates some binding rule reads; only these are handed to
     // the engine, so unread relations of Δ cost nothing.
     std::vector<char> edb_read(program_.num_predicates(), 0);
@@ -361,20 +344,29 @@ class GrounderImpl {
       const Rule& rule = program_.rule(r);
       BindPlan& plan = plans[r];
       plan.generators = GeneratorsOf(rule);
-      if (plan.generators.empty()) continue;  // pure free-var enumeration
+      if (plan.generators.empty()) {
+        plan.rows = kVirtualRow;
+        plan.num_rows = 1;
+        continue;
+      }
       std::vector<char> bound(rule.num_variables, 0);
       for (int32_t b : plan.generators) {
-        for (const Term& term : rule.body[b].atom.args) {
+        const Atom& atom = rule.body[b].atom;
+        // The engine's probe masks are 32-bit column sets over body atoms.
+        if (static_cast<int32_t>(atom.args.size()) > kEngineMaxArity) {
+          return Status::InvalidArgument(
+              "rule " + std::to_string(r) + ": positive EDB literal " +
+              program_.predicate_name(atom.predicate) + " has arity " +
+              std::to_string(atom.args.size()) +
+              "; the grounder joins EDB relations of arity at most " +
+              std::to_string(kEngineMaxArity));
+        }
+        for (const Term& term : atom.args) {
           if (term.is_variable()) bound[term.index] = 1;
         }
       }
       for (int32_t v = 0; v < rule.num_variables; ++v) {
         if (bound[v]) plan.bound_vars.push_back(v);
-      }
-      if (!engine_eligible ||
-          static_cast<int32_t>(plan.bound_vars.size()) > kEngineMaxArity) {
-        plan.legacy = true;
-        continue;
       }
       // Declare $bind<r>(bound vars) :- generators.
       std::string name = "$bind" + std::to_string(r);
@@ -393,7 +385,7 @@ class GrounderImpl {
       bind_rule.num_variables = rule.num_variables;
       bind_rule.variable_names = rule.variable_names;
       bind_program.AddRule(std::move(bind_rule));
-      any_engine = true;
+      any_generators = true;
     }
 
     // One engine run computes every rule's binding relation: the fact
@@ -403,10 +395,9 @@ class GrounderImpl {
     // cached per rule, and the vectorized kernels enumerate all matches,
     // fanned over the pool when num_threads > 1.
     Database bindings(program_);  // placeholder; replaced when engine runs
-    const Database* bound_db = nullptr;
-    if (any_engine) {
+    if (any_generators) {
       Status valid = bind_program.Validate();
-      TIEBREAK_CHECK(valid.ok()) << valid.ToString();
+      if (!valid.ok()) return valid;
       std::vector<FactSpan> edb(bind_program.num_predicates());
       int64_t edb_facts = 0;
       for (PredId p = 0; p < program_.num_predicates(); ++p) {
@@ -429,94 +420,62 @@ class GrounderImpl {
       Result<Database> result = EvaluateStratified(
           bind_program, Span<const FactSpan>(edb.data(), edb.size()),
           engine_options);
-      if (!result.ok() && exec_ != nullptr && exec_->stopped()) {
-        // A context trip (cancellation, deadline, its step/byte budgets) is
-        // a real abort, never a reason to fall back to the legacy join —
-        // that would restart the work the user just cancelled.
-        return exec_->status();
-      }
-      if (result.ok()) {
-        bindings = std::move(result).value();
-        bound_db = &bindings;
-      } else if (result.status().code() == StatusCode::kResourceExhausted) {
-        // More binding rows than the instance budget allows: emission
-        // could never fit either.
-        return Exhausted();
-      } else {
-        // Any other engine rejection (e.g. an arity past its relational
-        // cap that slipped through the plan check): fall back to the
-        // legacy join for every engine-planned rule rather than failing a
-        // grounding the backtracking path can do.
-        for (BindPlan& plan : plans) {
-          if (plan.bind_pred >= 0) plan.legacy = true;
+      if (!result.ok()) {
+        // A context trip (cancellation, deadline, its step/byte budgets)
+        // surfaces as the context's own Status; more binding rows than
+        // the instance budget allows means emission could never fit
+        // either.
+        if (exec_ != nullptr && exec_->stopped()) return exec_->status();
+        if (result.status().code() == StatusCode::kResourceExhausted) {
+          return Exhausted();
         }
+        return result.status();
       }
+      bindings = std::move(result).value();
     }
 
-    // Pre-size the rule arenas from the known binding counts (free-var
-    // enumeration can only add more; the reserve is advisory).
-    if (bound_db != nullptr) {
-      int64_t total_rows = 0;
-      int64_t total_body = 0;
-      for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        const BindPlan& plan = plans[r];
-        if (plan.legacy || plan.generators.empty()) continue;
-        const int64_t rows = bound_db->NumFacts(plan.bind_pred);
-        int64_t idb_literals = 0;
-        for (const Literal& literal : program_.rule(r).body) {
-          if (!program_.IsEdb(literal.atom.predicate)) ++idb_literals;
-        }
-        total_rows += rows;
-        total_body += rows * idb_literals;
+    // Point every generator plan at its binding rows and pre-size the rule
+    // arenas from the known row counts (free-variable enumeration can only
+    // add more; the reserve is advisory).
+    int64_t total_rows = 0;
+    int64_t total_body = 0;
+    for (int32_t r = 0; r < program_.num_rules(); ++r) {
+      BindPlan& plan = plans[r];
+      if (plan.bind_pred >= 0) {
+        plan.rows = bindings.FactData(plan.bind_pred);
+        plan.num_rows = bindings.NumFacts(plan.bind_pred);
       }
-      graph_.ReserveRules(total_rows, total_body);
+      int64_t idb_literals = 0;
+      for (const Literal& literal : program_.rule(r).body) {
+        if (!program_.IsEdb(literal.atom.predicate)) ++idb_literals;
+      }
+      total_rows += plan.num_rows;
+      total_body += plan.num_rows * idb_literals;
     }
+    graph_.ReserveRules(total_rows, total_body);
 
     if (num_threads_ > 1) {
-      // Parallel emission: one job per legacy/free-var rule, one job per
-      // row shard of each engine rule's binding relation.
+      // Parallel emission: one job per row shard of each rule's binding
+      // rows.
       std::vector<EmitJob> jobs;
       for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        const BindPlan& plan = plans[r];
-        if (plan.legacy || plan.generators.empty()) {
-          jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
-          continue;
-        }
-        TIEBREAK_CHECK(bound_db != nullptr);
-        const int64_t rows = bound_db->NumFacts(plan.bind_pred);
+        const int64_t rows = plans[r].num_rows;
         if (rows == 0) continue;
         const int64_t shards =
             std::clamp<int64_t>(rows / kMinEmitShardRows, 1,
                                 4 * static_cast<int64_t>(num_threads_));
         for (int64_t s = 0; s < shards; ++s) {
-          jobs.push_back(EmitJob{r, /*whole_rule=*/false,
-                                 rows * s / shards,
-                                 rows * (s + 1) / shards});
+          jobs.push_back(
+              EmitJob{r, rows * s / shards, rows * (s + 1) / shards});
         }
       }
-      return EmitJobs(&plans, bound_db, jobs);
+      return EmitJobs(plans, jobs);
     }
 
     // Serial emission, rule by rule in rule order (bindings iterate in the
     // result database's sorted order) — the bit-identical reference path.
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
-      const Rule& rule = program_.rule(r);
-      const BindPlan& plan = plans[r];
-      if (plan.legacy) {
-        Status s = GroundRuleReducedLegacy(&root_ctx_, r);
-        if (!s.ok()) return s;
-        continue;
-      }
-      if (plan.generators.empty()) {
-        root_ctx_.binding.assign(rule.num_variables, -1);
-        Status s = EnumerateFreeVariables(&root_ctx_, r, rule,
-                                          &root_ctx_.binding);
-        if (!s.ok()) return s;
-        continue;
-      }
-      TIEBREAK_CHECK(bound_db != nullptr);
-      Status s = EmitEngineRows(&root_ctx_, r, plan, *bound_db, 0,
-                                bound_db->NumFacts(plan.bind_pred));
+      Status s = EmitEngineRows(&root_ctx_, r, plans[r], 0, plans[r].num_rows);
       if (!s.ok()) return s;
     }
     return Status::Ok();
@@ -527,7 +486,7 @@ class GrounderImpl {
   // the binding relations are read-only), then the shards merge into the
   // final graph with an atom-id remap. Returns RESOURCE_EXHAUSTED when the
   // combined work crossed the instance budget.
-  Status EmitJobs(const std::vector<BindPlan>* plans, const Database* bound_db,
+  Status EmitJobs(const std::vector<BindPlan>& plans,
                   const std::vector<EmitJob>& jobs) {
     const int32_t workers = pool_->num_threads();
     std::vector<GroundGraph> shards(workers);
@@ -545,13 +504,8 @@ class GrounderImpl {
           EmitContext* ctx = &contexts[worker];
           if (!statuses[worker].ok()) return;  // this lane already failed
           const EmitJob& job = jobs[task];
-          Status s;
-          if (job.whole_rule) {
-            s = GroundRuleReducedLegacy(ctx, job.rule);
-          } else {
-            s = EmitEngineRows(ctx, job.rule, (*plans)[job.rule], *bound_db,
-                               job.row_begin, job.row_end);
-          }
+          Status s = EmitEngineRows(ctx, job.rule, plans[job.rule],
+                                    job.row_begin, job.row_end);
           FlushWork(ctx);
           if (!s.ok()) statuses[worker] = s;
         },
@@ -570,8 +524,8 @@ class GrounderImpl {
   }
 
   // Per-rule batched-emission program, in body order with the head last:
-  // kill checks (negated EDB) interleave with intern ops (IDB literals),
-  // exactly the literal order the row-at-a-time path walks.
+  // kill checks (negated EDB) interleave with intern ops (IDB literals) in
+  // literal order.
   struct EmitOp {
     const Atom* atom = nullptr;
     bool positive = true;  // body sign (head entry unused)
@@ -623,10 +577,9 @@ class GrounderImpl {
 
   // Stages the instance under ctx->binding into block slot `i`: walks the
   // emission program in literal order — a true negated-EDB atom kills the
-  // instance exactly where the row-at-a-time path did (atoms substituted
-  // before the kill still intern, preserving the historical atom set) —
-  // substituting each surviving atom into block scratch and precomputing
-  // its dedupe key. Returns whether the instance survived.
+  // instance where it stands (atoms substituted before the kill still
+  // intern) — substituting each surviving atom into block scratch and
+  // precomputing its dedupe key. Returns whether the instance survived.
   bool StageInstance(EmitContext* ctx, const EmitProgram& prog,
                      const Rule& rule, int32_t i) {
     ConstId* args = ctx->block_args.data() +
@@ -682,9 +635,10 @@ class GrounderImpl {
   }
 
   // Interns and appends the staged block rows [0, n): ascending rows, body
-  // before head — the exact order of the row-at-a-time path, so the serial
-  // graph stays bit-identical. Killed rows (bit clear in `live`) intern
-  // their pre-kill prefix but append no rule node.
+  // literals in order before the head, one instance after the other, so
+  // the serial graph's atom ids do not depend on the block size. Killed
+  // rows (bit clear in `live`) intern their pre-kill prefix but append no
+  // rule node.
   void AppendBlock(EmitContext* ctx, int32_t rule_index, const Rule& rule,
                    const EmitProgram& prog, int32_t n, uint64_t live) {
     GroundAtomStore& atoms = ctx->graph->atoms();
@@ -726,20 +680,19 @@ class GrounderImpl {
     }
   }
 
-  // Streams rows [row_begin, row_end) of `plan.bind_pred`'s binding
-  // relation into instance emission for rule `r` through the block-batched
-  // pipeline: fully-bound rules stage one instance per binding row; rules
-  // with residual free variables expand each row through the universe
-  // odometer, staging one instance per odometer step — either way every
-  // instance's atoms are hashed a block ahead of the interns that consume
-  // them.
+  // Streams binding rows [row_begin, row_end) of `plan` into instance
+  // emission for rule `r` through the block-batched pipeline: fully-bound
+  // rules stage one instance per binding row; rules with residual free
+  // variables expand each row through the universe odometer, staging one
+  // instance per odometer step — either way every instance's atoms are
+  // hashed a block ahead of the interns that consume them. The budget
+  // charges one unit per staged instance plus one per binding row that
+  // expands; a generator-free rule's virtual row is not charged.
   Status EmitEngineRows(EmitContext* ctx, int32_t r, const BindPlan& plan,
-                        const Database& bound_db, int64_t row_begin,
-                        int64_t row_end) {
+                        int64_t row_begin, int64_t row_end) {
     const Rule& rule = program_.rule(r);
     const int32_t arity = static_cast<int32_t>(plan.bound_vars.size());
-    const ConstId* rows =
-        bound_db.FactData(plan.bind_pred) + row_begin * arity;
+    const ConstId* rows = plan.rows + row_begin * arity;
     const int64_t num_rows = row_end - row_begin;
     ctx->binding.assign(rule.num_variables, -1);
     ctx->scratch_free_vars.clear();
@@ -782,8 +735,12 @@ class GrounderImpl {
     // (few binding rows, |U|^k instances each).
     const std::vector<int32_t>& free_vars = ctx->scratch_free_vars;
     for (int64_t row = 0; row < num_rows; ++row) {
-      Status s = Budget(ctx);
-      if (!s.ok()) return s;
+      // A binding row is one unit of explored work; a generator-free
+      // rule's virtual row is not, so its budget counts instances only.
+      if (plan.bind_pred >= 0) {
+        Status s = Budget(ctx);
+        if (!s.ok()) return s;
+      }
       const ConstId* values = rows + row * arity;
       for (int32_t j = 0; j < arity; ++j) {
         ctx->binding[plan.bound_vars[j]] = values[j];
@@ -796,7 +753,7 @@ class GrounderImpl {
         int32_t n = 0;
         uint64_t live = 0;
         while (n < kEmitBlock && !done) {
-          s = Budget(ctx);
+          Status s = Budget(ctx);
           if (!s.ok()) {
             for (int32_t var : free_vars) ctx->binding[var] = -1;
             return s;
@@ -823,141 +780,6 @@ class GrounderImpl {
     return Status::Ok();
   }
 
-  // Legacy reduced grounding of one rule: tuple-at-a-time backtracking
-  // join of the generators against Δ (the seed implementation; reference
-  // for the engine path and fallback past the engine's arity cap). Safe
-  // from worker threads: all mutation lands in `ctx`.
-  Status GroundRuleReducedLegacy(EmitContext* ctx, int32_t rule_index) {
-    const Rule& rule = program_.rule(rule_index);
-    const std::vector<int32_t> generators = GeneratorsOf(rule);
-    ctx->binding.assign(rule.num_variables, -1);
-    return MatchGenerators(ctx, rule_index, rule, generators, 0,
-                           &ctx->binding);
-  }
-
-  Status MatchGenerators(EmitContext* ctx, int32_t rule_index,
-                         const Rule& rule,
-                         const std::vector<int32_t>& generators, size_t g,
-                         Tuple* binding) {
-    if (g == generators.size()) {
-      return EnumerateFreeVariables(ctx, rule_index, rule, binding);
-    }
-    const Atom& atom = rule.body[generators[g]].atom;
-    const PredId pred = atom.predicate;
-    const int32_t arity = database_.arity(pred);
-    const ConstId* data = database_.FactData(pred);
-    const int64_t facts = database_.NumFacts(pred);
-    for (int64_t row = 0; row < facts; ++row) {
-      const ConstId* tuple = data + row * arity;
-      Status s = Budget(ctx);
-      if (!s.ok()) return s;
-      // Try to unify `atom` with `tuple` under the current partial binding.
-      std::vector<int32_t> bound_here;
-      bool match = true;
-      for (size_t i = 0; i < atom.args.size(); ++i) {
-        const Term& term = atom.args[i];
-        if (term.is_constant()) {
-          if (term.index != tuple[i]) {
-            match = false;
-            break;
-          }
-        } else if ((*binding)[term.index] >= 0) {
-          if ((*binding)[term.index] != tuple[i]) {
-            match = false;
-            break;
-          }
-        } else {
-          (*binding)[term.index] = tuple[i];
-          bound_here.push_back(term.index);
-        }
-      }
-      if (match) {
-        s = MatchGenerators(ctx, rule_index, rule, generators, g + 1,
-                            binding);
-        if (!s.ok()) return s;
-      }
-      for (int32_t var : bound_here) (*binding)[var] = -1;
-    }
-    return Status::Ok();
-  }
-
-  Status EnumerateFreeVariables(EmitContext* ctx, int32_t rule_index,
-                                const Rule& rule, Tuple* binding) {
-    std::vector<int32_t> free_vars;
-    for (int32_t v = 0; v < rule.num_variables; ++v) {
-      if ((*binding)[v] < 0) free_vars.push_back(v);
-    }
-    return EnumerateOver(ctx, rule_index, rule, free_vars, binding);
-  }
-
-  // Emits one instance per assignment of `free_vars` over the universe
-  // (one instance outright when `free_vars` is empty). The odometer lives
-  // in context scratch: the engine-backed path calls this once per binding
-  // row. Leaves the free variables reset to -1.
-  Status EnumerateOver(EmitContext* ctx, int32_t rule_index, const Rule& rule,
-                       const std::vector<int32_t>& free_vars,
-                       Tuple* binding) {
-    if (!free_vars.empty() && universe_.empty()) return Status::Ok();
-    ctx->scratch_odo.assign(free_vars.size(), 0);
-    for (int32_t var : free_vars) (*binding)[var] = universe_.front();
-    while (true) {
-      Status s = Budget(ctx);
-      if (!s.ok()) {
-        for (int32_t var : free_vars) (*binding)[var] = -1;
-        return s;
-      }
-      EmitReducedInstance(ctx, rule_index, rule, *binding);
-      int32_t pos = static_cast<int32_t>(free_vars.size()) - 1;
-      while (pos >= 0) {
-        if (++ctx->scratch_odo[pos] < universe_.size()) {
-          (*binding)[free_vars[pos]] = universe_[ctx->scratch_odo[pos]];
-          break;
-        }
-        ctx->scratch_odo[pos] = 0;
-        (*binding)[free_vars[pos]] = universe_.front();
-        --pos;
-      }
-      if (pos < 0) break;
-    }
-    for (int32_t var : free_vars) (*binding)[var] = -1;
-    return Status::Ok();
-  }
-
-  void EmitReducedInstance(EmitContext* ctx, int32_t rule_index,
-                           const Rule& rule, const Tuple& binding) {
-    GroundAtomStore& atoms = ctx->graph->atoms();
-    ctx->scratch_pos.clear();
-    ctx->scratch_neg.clear();
-    for (const Literal& literal : rule.body) {
-      const PredId pred = literal.atom.predicate;
-      if (program_.IsEdb(pred)) {
-        if (literal.positive) continue;  // matched against Δ already
-        // Negated EDB literal: a true EDB atom kills the instance outright
-        // (the first close would delete this rule node); a false one is a
-        // satisfied literal and leaves no edge.
-        SubstituteInto(literal.atom, binding, &ctx->scratch_tuple);
-        if (database_.ContainsRow(pred, ctx->scratch_tuple.data())) return;
-        continue;
-      }
-      SubstituteInto(literal.atom, binding, &ctx->scratch_tuple);
-      const AtomId atom = atoms.Intern(
-          pred, ctx->scratch_tuple.data(),
-          static_cast<int32_t>(ctx->scratch_tuple.size()));
-      (literal.positive ? ctx->scratch_pos : ctx->scratch_neg)
-          .push_back(atom);
-    }
-    SubstituteInto(rule.head, binding, &ctx->scratch_tuple);
-    const AtomId head = atoms.Intern(
-        rule.head.predicate, ctx->scratch_tuple.data(),
-        static_cast<int32_t>(ctx->scratch_tuple.size()));
-    ctx->graph->AppendRule(
-        rule_index, head, ctx->scratch_pos.data(),
-        static_cast<int32_t>(ctx->scratch_pos.size()),
-        ctx->scratch_neg.data(),
-        static_cast<int32_t>(ctx->scratch_neg.size()), binding.data(),
-        options_.record_bindings ? static_cast<int32_t>(binding.size()) : 0);
-  }
-
   const Program& program_;
   const Database& database_;
   const GroundingOptions& options_;
@@ -981,8 +803,16 @@ class GrounderImpl {
 Result<GroundingResult> Ground(const Program& program,
                                const Database& database,
                                const GroundingOptions& options) {
-  TIEBREAK_CHECK_EQ(program.num_predicates(), database.num_predicates())
-      << "database was built for a different program";
+  bool same_shape = program.num_predicates() == database.num_predicates();
+  for (PredId p = 0; same_shape && p < program.num_predicates(); ++p) {
+    same_shape = program.predicate(p).arity == database.arity(p);
+  }
+  if (!same_shape) {
+    return Status::InvalidArgument(
+        "database was built for a different program");
+  }
+  Status valid = program.Validate();
+  if (!valid.ok()) return valid;
   GrounderImpl impl(program, database, options);
   return impl.Run();
 }

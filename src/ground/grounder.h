@@ -18,10 +18,10 @@
 //    makes programs like the Theorem 6 machine-simulation (whose rules
 //    carry long succ-chain variable lists) groundable at all.
 //
-// Binding enumeration in reduced mode is engine-backed by default: the
-// positive EDB literals of each rule become one conjunctive "binding rule"
-// over a derived program, the whole batch is evaluated by the relational
-// engine (columnar relations, compiled/cached join plans, vectorized join
+// Binding enumeration in reduced mode is engine-backed: the positive EDB
+// literals of each rule become one conjunctive "binding rule" over a
+// derived program, the whole batch is evaluated by the relational engine
+// (columnar relations, compiled/cached join plans, vectorized join
 // kernels — see engine/evaluation.h) through the borrowed-EDB entry point
 // (the flat fact arenas of the EDB relations some binding rule reads are
 // handed to the engine as FactSpans, no intermediate Database copy; the
@@ -30,16 +30,16 @@
 // it reads, not for Δ or U), and the grounder then streams the
 // materialized binding rows out of the columnar result Database, emitting
 // rule instances straight into the CSR graph arenas with zero per-instance
-// heap allocation. Emission is block-batched: the substituted atoms of a
-// block of binding rows are hashed ahead and their dedupe slot lines
-// prefetched before any intern touches them (the Relation::InsertBatch
-// trick), and with num_threads > 1 per-rule emission jobs (row-sharded for
-// large binding relations) fan out over a thread pool into per-worker
-// graph shards that merge with an atom-id remap. The seed's
-// tuple-at-a-time backtracking join survives as the legacy path
-// (engine_bindings = false) — it is the reference implementation the
-// CSR/engine agreement tests compare against, and the automatic fallback
-// for rules whose bound-variable count exceeds the engine's arity cap.
+// heap allocation. A rule without positive EDB literals streams one
+// zero-arity virtual row through the same pipeline. Emission is
+// block-batched: the substituted atoms of a block of binding rows are
+// hashed ahead and their dedupe slot lines prefetched before any intern
+// touches them (the Relation::InsertBatch trick), and with num_threads > 1
+// per-rule emission jobs (row-sharded for large binding relations) fan out
+// over a thread pool into per-worker graph shards that merge with an
+// atom-id remap. The engine's probe masks cap the arity of a positive EDB
+// literal at kEngineMaxArity; IDB predicates and the number of variables a
+// rule's generators bind have no cap.
 #ifndef TIEBREAK_GROUND_GROUNDER_H_
 #define TIEBREAK_GROUND_GROUNDER_H_
 
@@ -63,10 +63,6 @@ struct GroundingOptions {
   /// Faithful mode only: also intern every ground atom over U for every
   /// predicate, exactly matching the paper's VP.
   bool include_all_atoms = false;
-  /// Reduced mode: enumerate generator bindings through the relational
-  /// engine (default). false = the seed's backtracking join, kept as the
-  /// agreement-test reference.
-  bool engine_bindings = true;
   /// Worker threads for reduced-mode grounding: the engine evaluation of
   /// the binding program and instance emission both fan out (the engine
   /// constructs its own pool for the evaluation phase; emission uses the
@@ -110,9 +106,13 @@ struct GroundingResult {
 std::vector<ConstId> ComputeUniverse(const Program& program,
                                      const Database& database);
 
-/// Builds G(Π, Δ). The program must Validate(). IDB atoms of Δ are always
-/// interned (they carry initial truth); EDB atoms become nodes only in
-/// faithful mode.
+/// Builds G(Π, Δ). IDB atoms of Δ are always interned (they carry initial
+/// truth); EDB atoms become nodes only in faithful mode. Returns
+/// INVALID_ARGUMENT, without grounding, when `program` fails Validate(),
+/// when `database` was built for a program with other predicate arities,
+/// or (reduced mode) when a rule has a positive EDB literal of arity above
+/// kEngineMaxArity; RESOURCE_EXHAUSTED past max_instances; the context's
+/// Status on a trip.
 Result<GroundingResult> Ground(const Program& program,
                                const Database& database,
                                const GroundingOptions& options = {});

@@ -13,6 +13,7 @@ enum class Truth : int8_t {
   kTrue = 1,
 };
 
+/// Lower-case name of `t` ("false", "undef", "true") for printing.
 inline const char* TruthName(Truth t) {
   switch (t) {
     case Truth::kFalse:

@@ -1,6 +1,7 @@
 #include "lang/program.h"
 
 #include <sstream>
+#include <string>
 
 namespace tiebreak {
 
@@ -31,29 +32,32 @@ namespace {
 Status CheckAtomShape(const Program& program, const Atom& atom,
                       int32_t num_variables, const char* where,
                       int32_t rule_index) {
-  std::ostringstream ctx;
-  ctx << where << " of rule " << rule_index;
+  // The context text is built only on failure: Ground validates on every
+  // call, so the success path stays allocation-free.
+  auto ctx = [&] {
+    return std::string(where) + " of rule " + std::to_string(rule_index);
+  };
   if (atom.predicate < 0 || atom.predicate >= program.num_predicates()) {
-    return Status::InvalidArgument("undeclared predicate in " + ctx.str());
+    return Status::InvalidArgument("undeclared predicate in " + ctx());
   }
   const PredicateInfo& info = program.predicate(atom.predicate);
   if (static_cast<int32_t>(atom.args.size()) != info.arity) {
     std::ostringstream msg;
     msg << "predicate " << info.name << " declared with arity " << info.arity
         << " but used with " << atom.args.size() << " arguments in "
-        << ctx.str();
+        << ctx();
     return Status::InvalidArgument(msg.str());
   }
   for (const Term& term : atom.args) {
     if (term.is_variable()) {
       if (term.index < 0 || term.index >= num_variables) {
         return Status::InvalidArgument("variable index out of range in " +
-                                       ctx.str());
+                                       ctx());
       }
     } else {
       if (term.index < 0 || term.index >= program.num_constants()) {
         return Status::InvalidArgument("constant index out of range in " +
-                                       ctx.str());
+                                       ctx());
       }
     }
   }

@@ -1,12 +1,13 @@
 // Agreement suite for the columnar grounding pipeline: the engine-backed
-// grounder must produce exactly the same ground graph as the legacy
-// backtracking-join grounder (atoms, rule-instance multiset, adjacency),
-// the CSR consumer/supporter indexes must match a naive rebuild from the
-// rule arenas, and the semantics computed over both graphs (close,
-// largest unfounded set, well-founded = alternating, tie-breaking
-// validity) must agree. Runs over every ground_test program family plus
-// randomized propositional/unary/binary programs in the fuzz_test /
-// property_test style.
+// grounder must produce, at 1, 2 and 8 threads, exactly the ground graph of
+// the reference backtracking-join grounder (reference_grounder.h: atoms,
+// rule-instance multiset), the CSR consumer/supporter indexes must match a
+// naive rebuild from the rule arenas, and the semantics computed over both
+// graphs (close, largest unfounded set, well-founded = alternating,
+// tie-breaking validity) must agree. Runs over every ground_test program
+// family plus randomized propositional/unary/binary programs in the
+// fuzz_test / property_test style. Also pins the grounder's arity rules and
+// its instance-budget trip points.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -17,9 +18,11 @@
 #include "core/stable.h"
 #include "core/tie_breaking.h"
 #include "core/well_founded.h"
+#include "engine/evaluation.h"
 #include "ground/close.h"
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
+#include "reference_grounder.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
@@ -32,6 +35,7 @@ namespace {
 using testing_util::GroundOrDie;
 using testing_util::Instance;
 using testing_util::ParseInstance;
+using testing_util::ReferenceGround;
 
 // Canonical, order-independent key of a ground atom.
 using AtomKey = std::pair<PredId, Tuple>;
@@ -116,8 +120,7 @@ void ExpectAtomStoreConsistent(const Instance& inst,
 
 // Structural agreement between two groundings of the same instance: same
 // universe, same atom set (ids may differ; compared via keys) and the same
-// rule-instance multiset. This is the equivalence contract shared by the
-// engine-vs-legacy and the parallel-vs-serial grounder comparisons.
+// rule-instance multiset.
 void ExpectGraphsAgree(const GroundingResult& actual,
                        const GroundingResult& expected) {
   EXPECT_EQ(actual.universe, expected.universe);
@@ -142,84 +145,56 @@ void ExpectGraphsAgree(const GroundingResult& actual,
   ASSERT_EQ(actual_rules, expected_rules);
 }
 
-// Semantic agreement by atom key: close() values and the well-founded
-// model computed over both graphs must coincide atom-for-atom.
-void ExpectSemanticsAgree(const Instance& inst, const GroundingResult& actual,
-                          const GroundingResult& expected) {
-  CloseState actual_close(inst.program, inst.database, actual.graph);
-  CloseState expected_close(inst.program, inst.database, expected.graph);
-  const InterpreterResult actual_wf =
-      WellFounded(inst.program, inst.database, actual.graph);
-  const InterpreterResult expected_wf =
-      WellFounded(inst.program, inst.database, expected.graph);
-  for (AtomId a = 0; a < expected.graph.num_atoms(); ++a) {
-    const AtomId b = actual.graph.atoms().Lookup(
-        expected.graph.atoms().PredicateOf(a),
-        expected.graph.atoms().TupleOf(a));
-    ASSERT_GE(b, 0);
-    EXPECT_EQ(actual_close.Value(b), expected_close.Value(a))
-        << "atom " << a;
-    EXPECT_EQ(actual_wf.values[b], expected_wf.values[a]) << "atom " << a;
-  }
-}
-
-// Grounds `inst` with both binding enumerators and checks full structural
-// and semantic agreement.
-void ExpectEngineMatchesLegacy(const Instance& inst) {
-  GroundingOptions engine_options;
-  engine_options.engine_bindings = true;
-  GroundingOptions legacy_options;
-  legacy_options.engine_bindings = false;
-  const GroundingResult engine = GroundOrDie(inst, engine_options);
-  const GroundingResult legacy = GroundOrDie(inst, legacy_options);
-
-  ExpectGraphsAgree(engine, legacy);
-
-  // CSR inverse indexes match a naive rebuild, on both graphs.
-  ExpectCsrIndexesConsistent(engine.graph);
-  ExpectCsrIndexesConsistent(legacy.graph);
-  ExpectAtomStoreConsistent(inst, engine.graph);
-
-  // Semantic agreement, by atom key. close() and the largest unfounded
-  // set are uniquely determined (confluence), as is the well-founded
-  // model (checked against the alternating fixpoint on both graphs).
-  CloseState engine_close(inst.program, inst.database, engine.graph);
-  CloseState legacy_close(inst.program, inst.database, legacy.graph);
-  const InterpreterResult engine_wf =
-      WellFounded(inst.program, inst.database, engine.graph);
-  const InterpreterResult legacy_wf =
-      WellFounded(inst.program, inst.database, legacy.graph);
-  const InterpreterResult engine_alt = AlternatingFixpointWellFounded(
-      inst.program, inst.database, engine.graph);
-  EXPECT_EQ(engine_wf.values, engine_alt.values);
-
-  std::map<AtomKey, Truth> engine_unfounded;
-  for (AtomId a : engine_close.LargestUnfoundedSet()) {
-    engine_unfounded[KeyOf(engine.graph, a)] = Truth::kFalse;
-  }
-  std::map<AtomKey, Truth> legacy_unfounded;
-  for (AtomId a : legacy_close.LargestUnfoundedSet()) {
-    legacy_unfounded[KeyOf(legacy.graph, a)] = Truth::kFalse;
-  }
-  EXPECT_EQ(engine_unfounded, legacy_unfounded);
-
-  for (AtomId a = 0; a < legacy.graph.num_atoms(); ++a) {
-    const AtomId b = engine.graph.atoms().Lookup(
-        legacy.graph.atoms().PredicateOf(a),
-        legacy.graph.atoms().TupleOf(a));
-    ASSERT_GE(b, 0);
-    EXPECT_EQ(engine_close.Value(b), legacy_close.Value(a)) << "atom " << a;
-    EXPECT_EQ(engine_wf.values[b], legacy_wf.values[a]) << "atom " << a;
+// Grounds `inst` at 1, 2 and 8 threads and checks each graph against the
+// reference grounder: full structural agreement, consistent CSR indexes and
+// atom store, and semantic agreement by atom key.
+void ExpectMatchesOracle(const Instance& inst) {
+  const GroundingResult oracle =
+      ReferenceGround(inst.program, inst.database);
+  ExpectCsrIndexesConsistent(oracle.graph);
+  CloseState oracle_close(inst.program, inst.database, oracle.graph);
+  const InterpreterResult oracle_wf =
+      WellFounded(inst.program, inst.database, oracle.graph);
+  std::map<AtomKey, Truth> oracle_unfounded;
+  for (AtomId a : oracle_close.LargestUnfoundedSet()) {
+    oracle_unfounded[KeyOf(oracle.graph, a)] = Truth::kFalse;
   }
 
-  // Tie-breaking choices may legitimately differ between the two graphs
-  // (tie order follows atom order), so runs are checked for validity on
-  // each graph: WFTB extends WF, is consistent/supported, and is stable
-  // when total.
-  for (const auto& pair : {std::make_pair(&engine, &engine_wf),
-                           std::make_pair(&legacy, &legacy_wf)}) {
-    const GroundingResult& g = *pair.first;
-    const InterpreterResult& wf = *pair.second;
+  for (const int32_t threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    GroundingOptions options;
+    options.num_threads = threads;
+    const GroundingResult g = GroundOrDie(inst, options);
+    ExpectGraphsAgree(g, oracle);
+    ExpectCsrIndexesConsistent(g.graph);
+    ExpectAtomStoreConsistent(inst, g.graph);
+
+    // Semantic agreement, by atom key. close() and the largest unfounded
+    // set are uniquely determined (confluence), as is the well-founded
+    // model (checked against the alternating fixpoint too).
+    CloseState close(inst.program, inst.database, g.graph);
+    const InterpreterResult wf = WellFounded(inst.program, inst.database,
+                                             g.graph);
+    const InterpreterResult alt = AlternatingFixpointWellFounded(
+        inst.program, inst.database, g.graph);
+    EXPECT_EQ(wf.values, alt.values);
+    std::map<AtomKey, Truth> unfounded;
+    for (AtomId a : close.LargestUnfoundedSet()) {
+      unfounded[KeyOf(g.graph, a)] = Truth::kFalse;
+    }
+    EXPECT_EQ(unfounded, oracle_unfounded);
+    for (AtomId a = 0; a < oracle.graph.num_atoms(); ++a) {
+      const AtomId b = g.graph.atoms().Lookup(
+          oracle.graph.atoms().PredicateOf(a),
+          oracle.graph.atoms().TupleOf(a));
+      ASSERT_GE(b, 0);
+      EXPECT_EQ(close.Value(b), oracle_close.Value(a)) << "atom " << a;
+      EXPECT_EQ(wf.values[b], oracle_wf.values[a]) << "atom " << a;
+    }
+
+    // Tie-breaking choices may legitimately differ between graphs (tie
+    // order follows atom order), so runs are checked for validity: WFTB
+    // extends WF, is consistent/supported, and is stable when total.
     const InterpreterResult wftb = TieBreaking(
         inst.program, inst.database, g.graph, TieBreakingMode::kWellFounded);
     EXPECT_TRUE(IsConsistent(inst.program, inst.database, g.graph,
@@ -232,55 +207,31 @@ void ExpectEngineMatchesLegacy(const Instance& inst) {
       }
     }
     if (wftb.total) {
-      EXPECT_TRUE(
-          IsStable(inst.program, inst.database, g.graph, wftb.values));
+      EXPECT_TRUE(IsStable(inst.program, inst.database, g.graph,
+                           wftb.values));
     }
   }
 }
 
-// Grounds `inst` serially (the bit-identical reference) and with 2 and 8
-// worker threads, and checks that every parallel grounding agrees
-// structurally (atom set, rule-instance multiset) and semantically
-// (close/WF values by atom key) with the serial one — for the engine-backed
-// binding path and for the legacy backtracking path.
-void ExpectParallelMatchesSerial(const Instance& inst) {
-  GroundingOptions serial_options;
-  serial_options.num_threads = 1;
-  const GroundingResult serial = GroundOrDie(inst, serial_options);
-  for (const int32_t threads : {2, 8}) {
-    GroundingOptions parallel_options;
-    parallel_options.num_threads = threads;
-    const GroundingResult parallel = GroundOrDie(inst, parallel_options);
-    ExpectGraphsAgree(parallel, serial);
-    ExpectCsrIndexesConsistent(parallel.graph);
-    ExpectSemanticsAgree(inst, parallel, serial);
-
-    GroundingOptions legacy_options = parallel_options;
-    legacy_options.engine_bindings = false;
-    const GroundingResult legacy = GroundOrDie(inst, legacy_options);
-    ExpectGraphsAgree(legacy, serial);
-  }
-}
-
 TEST(GroundCsrTest, ParallelMatchesSerialCurated) {
-  ExpectParallelMatchesSerial(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "win(X) :- move(X, Y), not win(Y).",
       "move(a, b). move(b, c). move(c, a). move(c, d)."));
-  ExpectParallelMatchesSerial(
+  ExpectMatchesOracle(
       ParseInstance("P(a) :- not P(X), E(b).", "E(b)."));
-  ExpectParallelMatchesSerial(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).",
       "e(a, b). e(b, c)."));
-  ExpectParallelMatchesSerial(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "p(X) :- e(X), not blocked(X).\nq(X) :- p(X), e(X).",
       "e(a). e(b). blocked(a)."));
-  ExpectParallelMatchesSerial(
+  ExpectMatchesOracle(
       ParseInstance("p :- not q.\nq :- not p.\nr :- p, q.", ""));
   // Rules with residual free variables (the odometer emission path) and a
   // zero-arity generator.
-  ExpectParallelMatchesSerial(
+  ExpectMatchesOracle(
       ParseInstance("P(X, Y) :- not P(Y, Y), E(X).", "E(a). E(b)."));
-  ExpectParallelMatchesSerial(
+  ExpectMatchesOracle(
       ParseInstance("p(X) :- go, e(X).", "go. e(a). e(b)."));
 }
 
@@ -291,20 +242,17 @@ TEST(GroundCsrTest, ParallelMatchesSerialWorkloads) {
     Rng rng(31);
     Database database =
         *RandomDigraphDatabase(&program, "move", 1024, 4096, &rng);
-    ExpectParallelMatchesSerial(Instance{std::move(program),
-                                         std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
   }
   {
     Program program = SameGenerationProgram();
     Database database = *BalancedTreeDatabase(&program, 3);
-    ExpectParallelMatchesSerial(Instance{std::move(program),
-                                         std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
   }
   {
     Program program = StratifiedTowerProgram(4);
     Database database = *UnarySetDatabase(&program, "e", 5);
-    ExpectParallelMatchesSerial(Instance{std::move(program),
-                                         std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
   }
 }
 
@@ -320,8 +268,7 @@ TEST(GroundCsrTest, ParallelMatchesSerialRandomPrograms) {
     Program program = RandomProgram(&rng, options);
     Database database = *RandomEdbDatabase(
         &program, options.arity == 1 ? 4 : 3, 0.4, &rng);
-    ExpectParallelMatchesSerial(Instance{std::move(program),
-                                         std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
   }
 }
 
@@ -548,41 +495,41 @@ TEST(GroundCsrTest, UnrelatedEdbFactsDoNotChargeBudget) {
 
 TEST(GroundCsrTest, CuratedProgramFamilies) {
   // Every program family of ground_test's equivalence suite.
-  ExpectEngineMatchesLegacy(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "win(X) :- move(X, Y), not win(Y).",
       "move(a, b). move(b, c). move(c, a). move(c, d)."));
-  ExpectEngineMatchesLegacy(ParseInstance("P(a) :- not P(X), E(b).", "E(b)."));
-  ExpectEngineMatchesLegacy(ParseInstance("P(a) :- not P(X), E(b).", ""));
-  ExpectEngineMatchesLegacy(
+  ExpectMatchesOracle(ParseInstance("P(a) :- not P(X), E(b).", "E(b)."));
+  ExpectMatchesOracle(ParseInstance("P(a) :- not P(X), E(b).", ""));
+  ExpectMatchesOracle(
       ParseInstance("P(X, Y) :- not P(Y, Y), E(X).", "E(a)."));
-  ExpectEngineMatchesLegacy(
+  ExpectMatchesOracle(
       ParseInstance("p :- not q.\nq :- not p.\nr :- p, q.", ""));
-  ExpectEngineMatchesLegacy(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).",
       "e(a, b). e(b, c)."));
-  ExpectEngineMatchesLegacy(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "odd(X) :- succ(Y, X), even(Y).\neven(X) :- succ(Y, X), odd(Y).\n"
       "even(z) :- zero(z).",
       "zero(z). succ(z, a). succ(a, b). succ(b, c)."));
-  ExpectEngineMatchesLegacy(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "p(X) :- e(X), not q(X).\nq(X) :- p(X).", "e(a). q(a). p(b)."));
-  ExpectEngineMatchesLegacy(ParseInstance("base(a).\np(X) :- base(X).", ""));
+  ExpectMatchesOracle(ParseInstance("base(a).\np(X) :- base(X).", ""));
   // Repeated variables and constants inside generator literals.
-  ExpectEngineMatchesLegacy(
+  ExpectMatchesOracle(
       ParseInstance("refl(X) :- e(X, X).", "e(a, a). e(a, b). e(b, b)."));
-  ExpectEngineMatchesLegacy(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "p(X) :- e(a, X), not q(X).\nq(X) :- e(X, X).",
       "e(a, a). e(a, b). e(b, a)."));
   // Duplicate generator literal (parallel edges must be preserved).
-  ExpectEngineMatchesLegacy(
+  ExpectMatchesOracle(
       ParseInstance("p(X) :- e(X), e(X), not p(X).", "e(a). e(b)."));
   // Negated-EDB filters and satisfied literals.
-  ExpectEngineMatchesLegacy(ParseInstance(
+  ExpectMatchesOracle(ParseInstance(
       "p(X) :- e(X), not blocked(X).", "e(a). e(b). blocked(a)."));
   // Zero-arity EDB generator.
-  ExpectEngineMatchesLegacy(
+  ExpectMatchesOracle(
       ParseInstance("p(X) :- go, e(X).", "go. e(a). e(b)."));
-  ExpectEngineMatchesLegacy(ParseInstance("p(X) :- go, e(X).", "e(a)."));
+  ExpectMatchesOracle(ParseInstance("p(X) :- go, e(X).", "e(a)."));
 }
 
 TEST(GroundCsrTest, WorkloadFamilies) {
@@ -591,20 +538,17 @@ TEST(GroundCsrTest, WorkloadFamilies) {
     Rng rng(7);
     Database database =
         *RandomDigraphDatabase(&program, "move", 48, 96, &rng);
-    ExpectEngineMatchesLegacy(Instance{std::move(program),
-                                       std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
   }
   {
     Program program = SameGenerationProgram();
     Database database = *BalancedTreeDatabase(&program, 3);
-    ExpectEngineMatchesLegacy(Instance{std::move(program),
-                                       std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
   }
   {
     Program program = StratifiedTowerProgram(4);
     Database database = *UnarySetDatabase(&program, "e", 5);
-    ExpectEngineMatchesLegacy(Instance{std::move(program),
-                                       std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
   }
 }
 
@@ -631,7 +575,7 @@ TEST(GroundCsrTest, RandomPropositionalPrograms) {
     for (int e = 0; e < 3; ++e) {
       if (rng.Chance(0.5)) db += "e" + std::to_string(e) + ". ";
     }
-    ExpectEngineMatchesLegacy(ParseInstance(text, db));
+    ExpectMatchesOracle(ParseInstance(text, db));
   }
 }
 
@@ -648,8 +592,80 @@ TEST(GroundCsrTest, RandomUnaryAndBinaryPrograms) {
     Program program = RandomProgram(&rng, options);
     Database database = *RandomEdbDatabase(
         &program, options.arity == 1 ? 4 : 3, 0.4, &rng);
-    ExpectEngineMatchesLegacy(Instance{std::move(program),
-                                       std::move(database)});
+    ExpectMatchesOracle(Instance{std::move(program), std::move(database)});
+  }
+}
+
+// `n` comma-separated terms `<prefix><first>`, `<prefix><first + 1>`, ...
+// (or `prefix` itself n times when `numbered` is false).
+std::string Terms(const std::string& prefix, int n, bool numbered,
+                  int first = 1) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) out += ", ";
+    out += numbered ? prefix + std::to_string(first + i) : prefix;
+  }
+  return out;
+}
+
+// The engine's probe masks cap body-atom arity at kEngineMaxArity (32).
+// Neither an IDB predicate nor a binding relation is a body atom of the
+// grounder's binding program, so both may be wider.
+TEST(GroundCsrTest, WideIdbPredicateGrounds) {
+  const std::string wide = "w(X, " + Terms("a", 32, false) + ")";
+  ExpectMatchesOracle(ParseInstance(
+      wide + " :- e(X), not v(X).\nv(X) :- e(X), not " + wide + ".",
+      "e(a). e(b)."));
+}
+
+TEST(GroundCsrTest, GeneratorsBindingWideRowsGround) {
+  // Two 17-ary generators joined on X17 bind X1 .. X33: the binding
+  // relation is 33 columns wide.
+  ExpectMatchesOracle(ParseInstance(
+      "p(X1) :- e(" + Terms("X", 17, true) + "), e(" +
+          Terms("X", 17, true, 17) + "), not q(X33).\nq(X) :- p(X).",
+      "e(" + Terms("a", 17, false) + "). e(a, " + Terms("b", 16, false) +
+          "). e(" + Terms("b", 17, false) + ")."));
+}
+
+TEST(GroundCsrTest, WidePositiveEdbGeneratorIsInvalidArgument) {
+  Instance inst = ParseInstance(
+      "p(a).\np(X) :- big(X, " + Terms("a", 32, false) + ").",
+      "big(" + Terms("a", 33, false) + ").");
+  for (const int32_t threads : {1, 2, 8}) {
+    GroundingOptions options;
+    options.num_threads = threads;
+    Result<GroundingResult> g = Ground(inst.program, inst.database, options);
+    ASSERT_FALSE(g.ok()) << "threads=" << threads;
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument)
+        << "threads=" << threads;
+    EXPECT_NE(g.status().message().find("rule 1"), std::string::npos)
+        << g.status().ToString();
+  }
+  Result<Database> engine = EvaluateStratified(inst.program, inst.database);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(GroundCsrTest, GeneratorFreeRuleChargesInstancesOnly) {
+  // p(X, Y) has no positive EDB literal: one virtual binding row expands
+  // over U = {a, b, c} into 9 instances, and the budget counts exactly
+  // those 9 at every thread count.
+  Instance inst = ParseInstance("p(X, Y) :- not p(Y, X).",
+                                "p(a, b). p(b, c).");
+  for (const int32_t threads : {1, 2, 8}) {
+    GroundingOptions options;
+    options.num_threads = threads;
+    options.max_instances = 9;
+    Result<GroundingResult> g = Ground(inst.program, inst.database, options);
+    ASSERT_TRUE(g.ok()) << "threads=" << threads << ": "
+                        << g.status().ToString();
+    EXPECT_EQ(g->graph.num_rules(), 9) << "threads=" << threads;
+    options.max_instances = 8;
+    g = Ground(inst.program, inst.database, options);
+    ASSERT_FALSE(g.ok()) << "threads=" << threads;
+    EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads;
   }
 }
 

@@ -9,14 +9,17 @@
 #include "graph/tie.h"
 #include "ground/close.h"
 #include "ground/grounder.h"
-#include "ground/live_graph.h"
 #include "gtest/gtest.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
+#include "live_graph.h"
 #include "util/random.h"
 
 namespace tiebreak {
 namespace {
+
+using testing_util::BuildLiveGraph;
+using testing_util::LiveGraph;
 
 struct Instance {
   Program program;
@@ -177,6 +180,48 @@ TEST(GrounderTest, RepeatedVariableInGeneratorLiteral) {
   ASSERT_EQ(g.graph.num_rules(), 1);  // only e(a,a) matches e(X,X)
   const ConstId a = inst.program.LookupConstant("a");
   EXPECT_EQ(g.graph.atoms().TupleOf(g.graph.HeadOf(0)), (Tuple{a}));
+}
+
+TEST(GrounderTest, DatabaseOfAnotherProgramIsInvalidArgument) {
+  Instance small = MustParse("p(X) :- e(X).", "e(a).");
+  Instance wide = MustParse("p(X) :- e(X), f(X, X).", "e(a).");
+  Instance reshaped = MustParse("p(X) :- e(X, X).", "e(a, a).");
+  for (const Instance* other : {&wide, &reshaped}) {
+    for (const bool reduce : {true, false}) {
+      GroundingOptions options;
+      options.reduce_edb = reduce;
+      Result<GroundingResult> g =
+          Ground(small.program, other->database, options);
+      ASSERT_FALSE(g.ok());
+      EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(GrounderTest, ProgramFailingValidateIsInvalidArgument) {
+  // e is declared unary but used with two arguments in a generator.
+  Program program;
+  const PredId e = program.DeclarePredicate("e", 1);
+  const PredId p = program.DeclarePredicate("p", 1);
+  Rule rule;
+  rule.num_variables = 2;
+  rule.variable_names = {"X", "Y"};
+  rule.head.predicate = p;
+  rule.head.args = {Term::Variable(0)};
+  Literal generator;
+  generator.atom.predicate = e;
+  generator.atom.args = {Term::Variable(0), Term::Variable(1)};
+  rule.body.push_back(generator);
+  program.AddRule(rule);
+  ASSERT_FALSE(program.Validate().ok());
+  const Database database(program);
+  for (const bool reduce : {true, false}) {
+    GroundingOptions options;
+    options.reduce_edb = reduce;
+    Result<GroundingResult> g = Ground(program, database, options);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@
 #include "graph/tie.h"
 #include "ground/close.h"
 #include "ground/ground_scc.h"
-#include "ground/live_graph.h"
 #include "gtest/gtest.h"
+#include "live_graph.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
@@ -35,8 +35,10 @@
 namespace tiebreak {
 namespace {
 
+using testing_util::BuildLiveGraph;
 using testing_util::GroundOrDie;
 using testing_util::Instance;
+using testing_util::LiveGraph;
 using testing_util::ParseInstance;
 
 // The curated instance list shared with ground_csr_test: negation cycles,

@@ -1,8 +1,38 @@
-#include "ground/live_graph.h"
+// Test oracle: materializes the *live* part of a CloseState's ground graph
+// as a SignedDigraph, so the generic SCC / tie machinery (graph/) can run on
+// it. Nodes are the still-undefined atoms plus the still-alive rule nodes;
+// edges follow the paper's ground-graph definition restricted to live
+// endpoints, inserted rule by rule (positive body, negative body, head).
+// The CSR-direct passes of ground/ground_scc.h must reproduce Tarjan over
+// this graph exactly; the tests compare the two.
+#ifndef TIEBREAK_TESTS_LIVE_GRAPH_H_
+#define TIEBREAK_TESTS_LIVE_GRAPH_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "graph/digraph.h"
+#include "ground/close.h"
 
 namespace tiebreak {
+namespace testing_util {
 
-LiveGraph BuildLiveGraph(const CloseState& state) {
+/// The live subgraph with node <-> atom/rule mappings.
+struct LiveGraph {
+  SignedDigraph graph;
+  /// node -> AtomId, or -1 for rule nodes.
+  std::vector<int32_t> node_atom;
+  /// node -> rule-instance id, or -1 for atom nodes.
+  std::vector<int32_t> node_rule;
+  /// AtomId -> node id, or -1 when the atom is not live.
+  std::vector<int32_t> atom_node;
+
+  int32_t num_atom_nodes = 0;
+};
+
+/// Builds the live subgraph of `state`'s ground graph. The returned graph is
+/// finalized.
+inline LiveGraph BuildLiveGraph(const CloseState& state) {
   const GroundGraph& ground = state.graph();
   LiveGraph live;
   live.atom_node.assign(ground.num_atoms(), -1);
@@ -49,4 +79,7 @@ LiveGraph BuildLiveGraph(const CloseState& state) {
   return live;
 }
 
+}  // namespace testing_util
 }  // namespace tiebreak
+
+#endif  // TIEBREAK_TESTS_LIVE_GRAPH_H_
