@@ -7,11 +7,22 @@
 // CRCs, structural cross-checks, index rebuild) — that validation cost
 // is exactly what this harness exists to keep honest.
 //
+// On the t=64 graph it also times the generation store the way a
+// checkpointing process calls it: SnapshotStore::WriteGeneration (the
+// file streamed from the arenas, fsync'd and published by rename) into an
+// empty store under $TMPDIR (default /tmp), then LoadLatest (pread into
+// the arrays, every check, the program cross-check). Those rows include
+// the disk, so they report the median and the min/max of the reps rather
+// than the best one.
+//
 // Standalone harness in the BENCH_engine.json style (shared scaffolding
 // in bench_util.h): emits BENCH_storage.json.
 //
 // Usage: bench_storage [output.json] [--reps N]
-//   --reps N      repetitions per workload (best-of; default 3)
+//   --reps N      repetitions per workload (codec rows best-of, store
+//                 rows median; default 5)
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,6 +34,8 @@
 #include "reductions/cm_reduction.h"
 #include "reductions/counter_machine.h"
 #include "storage/snapshot.h"
+#include "storage/snapshot_store.h"
+#include "util/file_io.h"
 #include "util/random.h"
 #include "util/timer.h"
 #include "workload/databases.h"
@@ -77,6 +90,49 @@ void MeasureCodec(const std::string& name, const Program& program,
   rows->push_back(load);
 }
 
+void MeasureStore(const std::string& name, const Program& program,
+                  const Database& database, const GroundGraph& graph,
+                  int reps, std::vector<benchutil::Row>* rows) {
+  const char* base = std::getenv("TMPDIR");
+  const std::string root = std::string(base != nullptr ? base : "/tmp") +
+                           "/bench_storage_store-" +
+                           std::to_string(static_cast<long>(::getpid()));
+  storage::SnapshotStore store(root);
+  storage::SnapshotReadOptions read;
+  read.program = &program;
+  std::vector<double> writes;
+  std::vector<double> loads;
+  int64_t size = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    TIEBREAK_CHECK(RemoveAll(root).ok());
+    WallTimer write_timer;
+    Result<int64_t> generation =
+        store.WriteGeneration(program, &database, &graph);
+    writes.push_back(write_timer.Seconds());
+    TIEBREAK_CHECK(generation.ok()) << generation.status().ToString();
+    size = FileSize(root + "/gen-00000001/snapshot.tbs").value();
+    WallTimer load_timer;
+    Result<storage::SnapshotStore::LoadedGeneration> loaded =
+        store.LoadLatest(read);
+    loads.push_back(load_timer.Seconds());
+    TIEBREAK_CHECK(loaded.ok()) << loaded.status().ToString();
+  }
+  TIEBREAK_CHECK(RemoveAll(root).ok());
+
+  benchutil::Row write;
+  write.name = "store_write_" + name;
+  write.items = size;
+  benchutil::SetMedianAndSpread(writes, &write);
+  write.items_per_sec = size / write.seconds;
+  rows->push_back(write);
+  benchutil::Row load;
+  load.name = "store_load_latest_" + name;
+  load.items = size;
+  benchutil::SetMedianAndSpread(loads, &load);
+  load.items_per_sec = size / load.seconds;
+  rows->push_back(load);
+}
+
 GroundGraph GroundGraphOf(const Program& program, const Database& database,
                           GroundingOptions options = {}) {
   Result<GroundingResult> g = Ground(program, database, options);
@@ -86,7 +142,7 @@ GroundGraph GroundGraphOf(const Program& program, const Database& database,
 
 int Main(int argc, char** argv) {
   std::string json_path = "BENCH_storage.json";
-  int reps = 3;
+  int reps = 5;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::atoi(argv[++i]);
@@ -123,6 +179,8 @@ int Main(int argc, char** argv) {
         GroundGraphOf(reduction.program, db, options);
     MeasureCodec("theorem6_transfer_t64", reduction.program, db, graph,
                  reps, &rows);
+    MeasureStore("theorem6_transfer_t64", reduction.program, db, graph, reps,
+                 &rows);
   }
 
   benchutil::PrintTable(rows, kBaseline, "bytes");

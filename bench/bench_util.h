@@ -5,6 +5,7 @@
 #ifndef TIEBREAK_BENCH_BENCH_UTIL_H_
 #define TIEBREAK_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -69,12 +70,29 @@ double BaselineFor(const BaselineEntry (&baselines)[N],
 /// emitted only when set (the engine harness uses them).
 struct Row {
   std::string name;
-  double seconds = 0;  // best-of-repetitions wall time
+  double seconds = 0;  // best-of-repetitions wall time, or the median
   int64_t items = 0;
   double items_per_sec = 0;
   int64_t applications = -1;  // emitted when >= 0
   int32_t num_threads = 0;    // emitted when > 0
+  double seconds_min = -1;    // sample spread of a median row; emitted
+  double seconds_max = -1;    // when >= 0
 };
+
+/// Makes `row` a median row: `seconds` is the median of `samples` (the
+/// mean of the middle two for an even count), and the spread fields are
+/// their min and max. For calls whose cost includes the disk, where the
+/// best rep says little about the typical one.
+inline void SetMedianAndSpread(std::vector<double> samples, Row* row) {
+  TIEBREAK_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  const size_t mid = samples.size() / 2;
+  row->seconds = samples.size() % 2 == 1
+                     ? samples[mid]
+                     : (samples[mid - 1] + samples[mid]) / 2;
+  row->seconds_min = samples.front();
+  row->seconds_max = samples.back();
+}
 
 inline std::string SpeedupLabel(double speedup) {
   return speedup > 0 ? std::to_string(speedup).substr(0, 5) + "x" : "n/a";
@@ -91,9 +109,14 @@ void PrintTable(const std::vector<Row>& rows,
   for (const Row& r : rows) {
     const double baseline = BaselineFor(baselines, r.name);
     const double speedup = baseline > 0 ? r.items_per_sec / baseline : 0;
-    std::printf("%-30s %12.6f %14lld %14.0f %8d %9s\n", r.name.c_str(),
+    std::printf("%-30s %12.6f %14lld %14.0f %8d %9s", r.name.c_str(),
                 r.seconds, static_cast<long long>(r.items), r.items_per_sec,
                 r.num_threads, SpeedupLabel(speedup).c_str());
+    if (r.seconds_min >= 0) {
+      std::printf("  (median; min %.6f, max %.6f)", r.seconds_min,
+                  r.seconds_max);
+    }
+    std::printf("\n");
   }
 }
 
@@ -113,6 +136,10 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows,
     const double speedup = baseline > 0 ? r.items_per_sec / baseline : 0;
     std::fprintf(json, "    {\"name\": \"%s\", \"seconds\": %.6f, ",
                  r.name.c_str(), r.seconds);
+    if (r.seconds_min >= 0) {
+      std::fprintf(json, "\"seconds_min\": %.6f, \"seconds_max\": %.6f, ",
+                   r.seconds_min, r.seconds_max);
+    }
     std::fprintf(json, "\"%s\": %lld, ", items_key,
                  static_cast<long long>(r.items));
     if (r.applications >= 0) {

@@ -120,7 +120,8 @@ check_docs() {
                 src/util/thread_pool.h src/lang/database.h \
                 src/ground/ground_graph.h src/ground/grounder.h \
                 src/ground/close.h src/ground/ground_scc.h \
-                src/ground/truth.h; do
+                src/ground/truth.h src/storage/snapshot.h \
+                src/storage/snapshot_store.h src/util/file_io.h; do
     if ! awk -v file="$header" '
       BEGIN { in_private = 0; prev_commented = 0; prev_decl = 0; bad = 0 }
       /^ *private:/ { in_private = 1 }

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "util/crc32c.h"
-#include "util/file_io.h"
 
 namespace tiebreak {
 namespace storage {
@@ -84,22 +83,13 @@ uint64_t GetU64(const char* p) {
          static_cast<uint64_t>(GetU32(p + 4)) << 32;
 }
 
-// Payloads are copied and checksummed in blocks of this many bytes, so
+// Payloads are read and checksummed in blocks of this many bytes, so
 // each block is CRC'd while it is still in cache: one pass over memory
 // per direction instead of a copy pass plus a CRC pass.
 constexpr size_t kBlockBytes = size_t{64} << 10;
 
-// Appends `piece` to `out` and extends `*crc` over it, block by block.
-void AppendChecksummed(std::string* out, std::string_view piece,
-                       uint32_t* crc) {
-  while (!piece.empty()) {
-    const size_t block = std::min(piece.size(), kBlockBytes);
-    const size_t at = out->size();
-    out->append(piece.data(), block);
-    *crc = Crc32c(*crc, out->data() + at, block);
-    piece.remove_prefix(block);
-  }
-}
+// Padding bytes: a canonical gap is at most 7 of them.
+constexpr char kZeros[8] = {};
 
 // The bytes of `n` elements at `data` (little-endian host).
 template <typename T>
@@ -107,26 +97,86 @@ std::string_view RawBytes(const T* data, size_t n) {
   return std::string_view(reinterpret_cast<const char*>(data), n * sizeof(T));
 }
 
-// Copies a payload into a typed vector (memcpy: the payload may be
-// misaligned within the buffer, so no pointer reinterpretation), checking
-// it against `crc` block by block as it goes. The copy lands before the
-// verdict, but nothing reads it unless the whole payload matches.
-template <typename T>
-Result<std::vector<T>> DecodeChecked(std::string_view payload, uint32_t crc,
-                                     uint32_t kind) {
-  std::vector<T> out(payload.size() / sizeof(T));
-  char* dst = reinterpret_cast<char*>(out.data());
-  uint32_t actual = 0;
-  for (size_t at = 0; at < payload.size(); at += kBlockBytes) {
-    const size_t block = std::min(payload.size() - at, kBlockBytes);
-    std::memcpy(dst + at, payload.data() + at, block);
-    actual = Crc32c(actual, dst + at, block);
+// Where the loader's bytes come from. Both sources copy into memory the
+// caller owns; the decoder above them is one code path.
+class ByteSource {
+ public:
+  virtual ~ByteSource() = default;
+  // Total length in bytes.
+  virtual uint64_t size() const = 0;
+  // Copies bytes [offset, offset + length) into `dst`.
+  virtual Status Read(uint64_t offset, char* dst, size_t length) const = 0;
+};
+
+// An in-memory snapshot: a bounds-checked memcpy (no pointer
+// reinterpretation — the buffer may sit at any alignment).
+class BufferSource final : public ByteSource {
+ public:
+  explicit BufferSource(std::string_view bytes) : bytes_(bytes) {}
+  uint64_t size() const override { return bytes_.size(); }
+  Status Read(uint64_t offset, char* dst, size_t length) const override {
+    if (offset > bytes_.size() || length > bytes_.size() - offset) {
+      return Status::DataLoss("read past the end of the snapshot");
+    }
+    if (length > 0) std::memcpy(dst, bytes_.data() + offset, length);
+    return Status::Ok();
   }
-  if (actual != crc) {
-    return Status::DataLoss(std::string("section ") + SectionName(kind) +
-                            " checksum mismatch");
+
+ private:
+  std::string_view bytes_;
+};
+
+// A snapshot file: fstat'd length, pread at each offset; a file that
+// shrinks under the reader is kDataLoss (ReadOnlyFile::ReadAt). pread,
+// not mmap: a mapped file truncated by another process raises SIGBUS on
+// the next touch, and the loader must return a Status, never die.
+class FileSource final : public ByteSource {
+ public:
+  explicit FileSource(const ReadOnlyFile& file) : file_(file) {}
+  uint64_t size() const override { return file_.size(); }
+  Status Read(uint64_t offset, char* dst, size_t length) const override {
+    return file_.ReadAt(offset, dst, length);
   }
-  return out;
+
+ private:
+  const ReadOnlyFile& file_;
+};
+
+// Reads `length` bytes at `offset` into `dst`, extending `*crc` over each
+// block right after reading it. The bytes land before the verdict, but
+// nothing reads them unless the caller's CRC comparison passes.
+Status ReadChecksummed(const ByteSource& source, uint64_t offset, char* dst,
+                       uint64_t length, uint32_t* crc) {
+  for (uint64_t at = 0; at < length; at += kBlockBytes) {
+    const size_t block = static_cast<size_t>(
+        std::min<uint64_t>(length - at, kBlockBytes));
+    Status read = source.Read(offset + at, dst + at, block);
+    if (!read.ok()) return read;
+    *crc = Crc32c(*crc, dst + at, block);
+  }
+  return Status::Ok();
+}
+
+// CRC32C of `length` bytes at `offset`, streamed through one block of
+// scratch memory.
+Result<uint32_t> StreamCrc(const ByteSource& source, uint64_t offset,
+                           uint64_t length) {
+  std::vector<char> block(
+      static_cast<size_t>(std::min<uint64_t>(length, kBlockBytes)));
+  uint32_t crc = 0;
+  for (uint64_t at = 0; at < length; at += block.size()) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(length - at, block.size()));
+    Status read = source.Read(offset + at, block.data(), n);
+    if (!read.ok()) return read;
+    crc = Crc32c(crc, block.data(), n);
+  }
+  return crc;
+}
+
+Status ChecksumMismatch(uint32_t kind) {
+  return Status::DataLoss(std::string("section ") + SectionName(kind) +
+                          " checksum mismatch");
 }
 
 Status Charge(ExecutionContext* context, int64_t bytes) {
@@ -214,21 +264,31 @@ struct TableEntry {
   uint32_t crc = 0;
 };
 
-struct ParsedFile {
+// A snapshot's header and section table: their bytes ([0, table end))
+// and the entries they encode. The writer builds one, the reader parses
+// one; with the zero padding, it is all the whole-file CRC needs beyond
+// the section CRCs (FileCrc).
+struct Layout {
   uint32_t version = 0;
   uint32_t flags = 0;
+  std::string head;
   std::vector<TableEntry> entries;
 };
 
-// Validates the header and section table (bounds, CRCs, canonical layout)
-// without touching payload contents. Shared by the load and info paths.
-Result<ParsedFile> ParseHeaderAndTable(std::string_view bytes) {
-  if (bytes.size() < kHeaderLength) {
-    return Status::DataLoss("snapshot is " + std::to_string(bytes.size()) +
+// Validates the header and section table (bounds, CRCs, canonical layout,
+// zero padding) without touching payload contents. Shared by the load,
+// info and file-CRC paths.
+Result<Layout> ParseHeaderAndTable(const ByteSource& source) {
+  const uint64_t size = source.size();
+  if (size < kHeaderLength) {
+    return Status::DataLoss("snapshot is " + std::to_string(size) +
                             " bytes; the header alone needs " +
                             std::to_string(kHeaderLength));
   }
-  const char* p = bytes.data();
+  char header[kHeaderLength];
+  Status read = source.Read(0, header, kHeaderLength);
+  if (!read.ok()) return read;
+  const char* p = header;
   const uint32_t magic = GetU32(p);
   if (magic != kSnapshotMagic) {
     char hex[9];
@@ -240,20 +300,20 @@ Result<ParsedFile> ParseHeaderAndTable(std::string_view bytes) {
   if (Crc32c(p, kHeaderLength - 4) != header_crc) {
     return Status::DataLoss("header checksum mismatch");
   }
-  ParsedFile parsed;
-  parsed.version = GetU32(p + 4);
-  if (parsed.version != kSnapshotVersion) {
+  Layout layout;
+  layout.version = GetU32(p + 4);
+  if (layout.version != kSnapshotVersion) {
     return Status::DataLoss("unsupported snapshot format version " +
-                            std::to_string(parsed.version) + " (reader is " +
+                            std::to_string(layout.version) + " (reader is " +
                             std::to_string(kSnapshotVersion) + ")");
   }
-  parsed.flags = GetU32(p + 8);
+  layout.flags = GetU32(p + 8);
   const uint32_t section_count = GetU32(p + 12);
   const uint64_t file_length = GetU64(p + 16);
-  if (file_length != bytes.size()) {
+  if (file_length != size) {
     return Status::DataLoss("header says " + std::to_string(file_length) +
                             " bytes but the file holds " +
-                            std::to_string(bytes.size()));
+                            std::to_string(size));
   }
   if (section_count == 0 || section_count > kMaxSections) {
     return Status::DataLoss("implausible section count " +
@@ -261,9 +321,15 @@ Result<ParsedFile> ParseHeaderAndTable(std::string_view bytes) {
   }
   const uint64_t table_end =
       kHeaderLength + uint64_t{section_count} * kTableEntryLength;
-  if (table_end > bytes.size()) {
+  if (table_end > size) {
     return Status::DataLoss("section table overruns the file");
   }
+  layout.head.resize(table_end);
+  std::memcpy(layout.head.data(), header, kHeaderLength);
+  read = source.Read(kHeaderLength, layout.head.data() + kHeaderLength,
+                     table_end - kHeaderLength);
+  if (!read.ok()) return read;
+  p = layout.head.data();
   const uint32_t table_crc = GetU32(p + 24);
   if (Crc32c(p + kHeaderLength, table_end - kHeaderLength) != table_crc) {
     return Status::DataLoss("section table checksum mismatch");
@@ -272,7 +338,7 @@ Result<ParsedFile> ParseHeaderAndTable(std::string_view bytes) {
   // 8-aligned position after its predecessor, zero gap bytes, the file
   // ending exactly at the last payload byte. Every deviation is data loss
   // — there is exactly one valid byte encoding per snapshot.
-  parsed.entries.reserve(section_count);
+  layout.entries.reserve(section_count);
   uint64_t cursor = table_end;  // table_end is 8-aligned (32 | 32·n)
   uint32_t prev_kind = 0;
   for (uint32_t i = 0; i < section_count; ++i) {
@@ -299,33 +365,42 @@ Result<ParsedFile> ParseHeaderAndTable(std::string_view bytes) {
                               ", canonical layout requires " +
                               std::to_string(expected));
     }
-    if (entry.offset > bytes.size() ||
-        entry.length > bytes.size() - entry.offset) {
+    if (entry.offset > size || entry.length > size - entry.offset) {
       return Status::DataLoss(where + ": payload overruns the file");
     }
-    for (uint64_t g = cursor; g < entry.offset; ++g) {
-      if (p[g] != 0) {
-        return Status::DataLoss(where + ": nonzero padding byte before " +
-                                "payload");
-      }
+    char gap[sizeof(kZeros)];
+    read = source.Read(cursor, gap, entry.offset - cursor);
+    if (!read.ok()) return read;
+    if (std::memcmp(gap, kZeros, entry.offset - cursor) != 0) {
+      return Status::DataLoss(where + ": nonzero padding byte before " +
+                              "payload");
     }
     cursor = entry.offset + entry.length;
-    parsed.entries.push_back(entry);
+    layout.entries.push_back(entry);
   }
-  if (cursor != bytes.size()) {
-    return Status::DataLoss("file holds " +
-                            std::to_string(bytes.size() - cursor) +
+  if (cursor != size) {
+    return Status::DataLoss("file holds " + std::to_string(size - cursor) +
                             " trailing bytes past the last section");
   }
-  return parsed;
+  return layout;
 }
 
-std::string_view Payload(std::string_view bytes, const TableEntry& entry) {
-  return bytes.substr(entry.offset, entry.length);
+// CRC32C of the whole file: the header and table bytes, the zero padding
+// and each payload's CRC folded in with Crc32cCombine. It equals the CRC
+// of the file's bytes exactly when every payload matches its CRC.
+uint32_t FileCrc(const Layout& layout) {
+  uint64_t cursor = layout.head.size();
+  uint32_t crc = Crc32c(layout.head.data(), cursor);
+  for (const TableEntry& entry : layout.entries) {
+    crc = Crc32c(crc, kZeros, entry.offset - cursor);
+    crc = Crc32cCombine(crc, entry.crc, entry.length);
+    cursor = entry.offset + entry.length;
+  }
+  return crc;
 }
 
-const TableEntry* FindSection(const ParsedFile& parsed, uint32_t kind) {
-  for (const TableEntry& entry : parsed.entries) {
+const TableEntry* FindSection(const Layout& layout, uint32_t kind) {
+  for (const TableEntry& entry : layout.entries) {
     if (entry.kind == kind) return &entry;
   }
   return nullptr;
@@ -346,15 +421,15 @@ std::vector<uint32_t> ExpectedKinds(uint32_t flags) {
   return kinds;
 }
 
-// Section `kind` as `count` elements of T: its length must be exactly
-// `count` × sizeof(T) bytes, the bytes are charged to the context, and the
-// payload must match its CRC (see DecodeChecked).
+// Section `kind` as `count` elements of T, read straight into the array:
+// its length must be exactly `count` × sizeof(T) bytes, the bytes are
+// charged to the context, and the payload must match its CRC.
 template <typename T>
-Result<std::vector<T>> CheckedArray(std::string_view bytes,
-                                    const ParsedFile& parsed, uint32_t kind,
+Result<std::vector<T>> CheckedArray(const ByteSource& source,
+                                    const Layout& layout, uint32_t kind,
                                     uint64_t count,
                                     ExecutionContext* context) {
-  const TableEntry* entry = FindSection(parsed, kind);
+  const TableEntry* entry = FindSection(layout, kind);
   if (entry == nullptr) {
     return Status::DataLoss(std::string("missing section ") +
                             SectionName(kind));
@@ -368,15 +443,34 @@ Result<std::vector<T>> CheckedArray(std::string_view bytes,
   }
   Status charged = Charge(context, static_cast<int64_t>(entry->length));
   if (!charged.ok()) return charged;
-  return DecodeChecked<T>(Payload(bytes, *entry), entry->crc, kind);
+  std::vector<T> out(static_cast<size_t>(count));
+  uint32_t crc = 0;
+  Status read = ReadChecksummed(source, entry->offset,
+                                reinterpret_cast<char*>(out.data()),
+                                entry->length, &crc);
+  if (!read.ok()) return read;
+  if (crc != entry->crc) return ChecksumMismatch(kind);
+  return out;
 }
 
-}  // namespace
+// The write plan: the layout with every section CRC filled in, computed
+// over the payloads where they live, and the whole file as the ordered
+// pieces both sinks consume — header and table, then each section's zero
+// padding and payload pieces (the small vocabulary sections encoded into
+// the plan's own strings, the arenas referenced in place). Filled in place
+// and never moved, since the pieces point into its strings.
+struct WritePlan {
+  Layout layout;
+  uint64_t file_length = 0;
+  std::string meta;
+  std::string arities;
+  std::string num_rows;
+  std::vector<std::string_view> pieces;
+};
 
-Result<std::string> SerializeSnapshot(const Program& program,
-                                      const Database* database,
-                                      const GroundGraph* graph,
-                                      const SnapshotWriteOptions& options) {
+Status BuildPlan(const Program& program, const Database* database,
+                 const GroundGraph* graph, const SnapshotWriteOptions& options,
+                 WritePlan* plan) {
   if (database == nullptr && graph == nullptr) {
     return Status::InvalidArgument(
         "snapshot must carry a database, a graph, or both");
@@ -413,36 +507,33 @@ Result<std::string> SerializeSnapshot(const Program& program,
     meta.num_bindings = static_cast<int64_t>(graph->binding_arena().size());
   }
 
-  uint32_t flags = 0;
-  if (database != nullptr) flags |= kFlagHasDatabase;
-  if (graph != nullptr) flags |= kFlagHasGraph;
+  Layout& layout = plan->layout;
+  layout.version = kSnapshotVersion;
+  if (database != nullptr) layout.flags |= kFlagHasDatabase;
+  if (graph != nullptr) layout.flags |= kFlagHasGraph;
 
-  // Each payload, in ascending kind order, as the pieces it concatenates:
-  // the small vocabulary sections are encoded up front, the arenas are
-  // referenced where they live.
+  // Each payload, in ascending kind order, as the pieces it concatenates.
+  plan->meta = EncodeMeta(meta);
+  for (PredId pr = 0; pr < num_predicates; ++pr) {
+    PutU32(&plan->arities, static_cast<uint32_t>(program.predicate(pr).arity));
+  }
   struct Section {
     uint32_t kind;
     std::vector<std::string_view> pieces;
   };
   std::vector<Section> sections;
-  const std::string meta_bytes = EncodeMeta(meta);
-  sections.push_back({kMeta, {meta_bytes}});
-  std::string arities;
-  for (PredId pr = 0; pr < num_predicates; ++pr) {
-    PutU32(&arities, static_cast<uint32_t>(program.predicate(pr).arity));
-  }
-  sections.push_back({kArities, {arities}});
-  std::string num_rows;
+  sections.push_back({kMeta, {plan->meta}});
+  sections.push_back({kArities, {plan->arities}});
   if (database != nullptr) {
     Section rows{kDbRows, {}};
     for (PredId pr = 0; pr < num_predicates; ++pr) {
-      PutU64(&num_rows, static_cast<uint64_t>(database->NumFacts(pr)));
+      PutU64(&plan->num_rows, static_cast<uint64_t>(database->NumFacts(pr)));
       rows.pieces.push_back(
           RawBytes(database->FactData(pr),
                    static_cast<size_t>(database->NumFacts(pr)) *
                        static_cast<size_t>(database->arity(pr))));
     }
-    sections.push_back({kDbNumRows, {num_rows}});
+    sections.push_back({kDbNumRows, {plan->num_rows}});
     sections.push_back(std::move(rows));
   }
   if (graph != nullptr) {
@@ -462,43 +553,37 @@ Result<std::string> SerializeSnapshot(const Program& program,
     add(kRuleBindings, graph->binding_arena());
   }
 
-  // Lay the payloads out: each at the 8-aligned position after its
-  // predecessor, starting right after the section table.
+  // Lay the payloads out — each at the 8-aligned position after its
+  // predecessor, starting right after the section table — charging each
+  // section's bytes before any of them is read.
   const uint64_t table_end =
       kHeaderLength + sections.size() * kTableEntryLength;
-  std::vector<TableEntry> entries(sections.size());
+  layout.entries.resize(sections.size());
   uint64_t cursor = table_end;
   for (size_t i = 0; i < sections.size(); ++i) {
     uint64_t length = 0;
     for (std::string_view piece : sections[i].pieces) length += piece.size();
     Status charged = Charge(options.context, static_cast<int64_t>(length));
     if (!charged.ok()) return charged;
-    entries[i].kind = sections[i].kind;
-    entries[i].offset = Align8(cursor);
-    entries[i].length = length;
-    cursor = entries[i].offset + length;
+    layout.entries[i].kind = sections[i].kind;
+    layout.entries[i].offset = Align8(cursor);
+    layout.entries[i].length = length;
+    cursor = layout.entries[i].offset + length;
   }
-  const uint64_t file_length = cursor;
+  plan->file_length = cursor;
 
-  // One buffer, each payload copied into it once and checksummed in
-  // place; the header and table go in front once the CRCs are known.
-  std::string out;
-  out.reserve(file_length);
-  out.append(table_end, '\0');
+  // Each section's CRC, over its pieces where they lie.
   for (size_t i = 0; i < sections.size(); ++i) {
-    out.append(entries[i].offset - out.size(), '\0');  // zero padding
     uint32_t crc = 0;
     for (std::string_view piece : sections[i].pieces) {
-      AppendChecksummed(&out, piece, &crc);
+      crc = Crc32c(crc, piece.data(), piece.size());
     }
-    entries[i].crc = crc;
+    layout.entries[i].crc = crc;
   }
 
-  std::string head;
-  head.reserve(table_end);
   std::string table;
   table.reserve(sections.size() * kTableEntryLength);
-  for (const TableEntry& entry : entries) {
+  for (const TableEntry& entry : layout.entries) {
     PutU32(&table, entry.kind);
     PutU32(&table, 0);  // reserved
     PutU64(&table, entry.offset);
@@ -506,35 +591,54 @@ Result<std::string> SerializeSnapshot(const Program& program,
     PutU32(&table, entry.crc);
     PutU32(&table, 0);  // reserved
   }
+  std::string& head = layout.head;
+  head.reserve(table_end);
   PutU32(&head, kSnapshotMagic);
   PutU32(&head, kSnapshotVersion);
-  PutU32(&head, flags);
+  PutU32(&head, layout.flags);
   PutU32(&head, static_cast<uint32_t>(sections.size()));
-  PutU64(&head, file_length);
+  PutU64(&head, plan->file_length);
   PutU32(&head, Crc32c(table.data(), table.size()));
   PutU32(&head, Crc32c(head.data(), head.size()));  // header CRC over [0, 28)
   head += table;
-  std::memcpy(out.data(), head.data(), head.size());
-  return out;
+
+  plan->pieces.push_back(head);
+  cursor = table_end;
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const TableEntry& entry = layout.entries[i];
+    if (entry.offset > cursor) {
+      plan->pieces.push_back(
+          std::string_view(kZeros, static_cast<size_t>(entry.offset - cursor)));
+    }
+    for (std::string_view piece : sections[i].pieces) {
+      if (!piece.empty()) plan->pieces.push_back(piece);
+    }
+    cursor = entry.offset + entry.length;
+  }
+  return Status::Ok();
 }
 
-Result<SnapshotContents> LoadSnapshotFromBuffer(
-    std::string_view bytes, const SnapshotReadOptions& options) {
-  Result<ParsedFile> parsed = ParseHeaderAndTable(bytes);
+// The one decoder behind every load: validates and decodes the snapshot
+// `source` holds; see the header's trust model. With `file_crc` set it
+// also reports the whole-file CRC, folded once every section has passed.
+Result<SnapshotContents> Decode(const ByteSource& source,
+                                const SnapshotReadOptions& options,
+                                uint32_t* file_crc) {
+  Result<Layout> parsed = ParseHeaderAndTable(source);
   if (!parsed.ok()) return parsed.status();
+  const Layout& layout = *parsed;
 
-  if (parsed->flags &
-      ~(kFlagHasDatabase | kFlagHasGraph)) {
+  if (layout.flags & ~(kFlagHasDatabase | kFlagHasGraph)) {
     return Status::DataLoss("unknown header flag bits");
   }
-  if ((parsed->flags & (kFlagHasDatabase | kFlagHasGraph)) == 0) {
+  if ((layout.flags & (kFlagHasDatabase | kFlagHasGraph)) == 0) {
     return Status::DataLoss("snapshot carries neither database nor graph");
   }
   {
-    const std::vector<uint32_t> expected = ExpectedKinds(parsed->flags);
-    bool match = parsed->entries.size() == expected.size();
+    const std::vector<uint32_t> expected = ExpectedKinds(layout.flags);
+    bool match = layout.entries.size() == expected.size();
     for (size_t i = 0; match && i < expected.size(); ++i) {
-      match = parsed->entries[i].kind == expected[i];
+      match = layout.entries[i].kind == expected[i];
     }
     if (!match) {
       return Status::DataLoss(
@@ -543,7 +647,7 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
   }
 
   Result<std::vector<char>> meta_payload = CheckedArray<char>(
-      bytes, *parsed, kMeta, kMetaLength, options.context);
+      source, layout, kMeta, kMetaLength, options.context);
   if (!meta_payload.ok()) return meta_payload.status();
   Result<Meta> meta =
       DecodeMeta(std::string_view(meta_payload->data(), meta_payload->size()));
@@ -554,7 +658,7 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
       static_cast<uint64_t>(meta->num_rule_instances);
 
   Result<std::vector<int32_t>> decoded_arities = CheckedArray<int32_t>(
-      bytes, *parsed, kArities, predicates, options.context);
+      source, layout, kArities, predicates, options.context);
   if (!decoded_arities.ok()) return decoded_arities.status();
   const std::vector<int32_t> arities = *std::move(decoded_arities);
   for (size_t pr = 0; pr < arities.size(); ++pr) {
@@ -598,12 +702,12 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
   contents.num_constants = meta->num_constants;
   contents.num_program_rules = meta->num_program_rules;
 
-  if (parsed->flags & kFlagHasDatabase) {
+  if (layout.flags & kFlagHasDatabase) {
     Result<std::vector<int64_t>> num_rows = CheckedArray<int64_t>(
-        bytes, *parsed, kDbNumRows, predicates, options.context);
+        source, layout, kDbNumRows, predicates, options.context);
     if (!num_rows.ok()) return num_rows.status();
 
-    const TableEntry* rows_entry = FindSection(*parsed, kDbRows);
+    const TableEntry* rows_entry = FindSection(layout, kDbRows);
     // Present by the section-list check; its length is validated against
     // the row counts below rather than a single product.
     Status charged =
@@ -612,40 +716,66 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
     if (rows_entry->length % sizeof(ConstId) != 0) {
       return Status::DataLoss("db_rows length is not a whole id count");
     }
-    Result<std::vector<ConstId>> decoded_rows = DecodeChecked<ConstId>(
-        Payload(bytes, *rows_entry), rows_entry->crc, kDbRows);
-    if (!decoded_rows.ok()) return decoded_rows.status();
-    const std::vector<ConstId>& flat = *decoded_rows;
+    const uint64_t total_ids = rows_entry->length / sizeof(ConstId);
 
     // Slice the concatenated arena by the per-relation counts; every id
-    // must be accounted for. Multiplications are guarded by division.
-    std::vector<std::vector<ConstId>> rows(num_rows->size());
+    // must be accounted for. Multiplications are guarded by division. A
+    // slicing failure is reported only after the payload CRC, so the
+    // checks keep the order they have for every other section.
+    std::vector<uint64_t> ids(num_rows->size(), 0);
+    Status sliced = Status::Ok();
     int64_t facts = 0;
     uint64_t at = 0;
     for (size_t pr = 0; pr < num_rows->size(); ++pr) {
       const int64_t count = (*num_rows)[pr];
       const int64_t arity = arities[pr];
-      if (count < 0) {
-        return Status::DataLoss("relation " + std::to_string(pr) +
-                                ": negative row count");
+      if (count < 0 || count > INT64_MAX - facts) {
+        sliced = Status::DataLoss("relation " + std::to_string(pr) +
+                                  (count < 0 ? ": negative row count"
+                                             : ": row counts overflow"));
+        break;
       }
       facts += count;
       if (arity == 0 || count == 0) continue;
       const uint64_t need = static_cast<uint64_t>(count);
-      if (need > (flat.size() - at) / static_cast<uint64_t>(arity)) {
-        return Status::DataLoss("db_rows arena ends inside relation " +
-                                std::to_string(pr));
+      if (need > (total_ids - at) / static_cast<uint64_t>(arity)) {
+        sliced = Status::DataLoss("db_rows arena ends inside relation " +
+                                  std::to_string(pr));
+        break;
       }
-      const uint64_t ids = need * static_cast<uint64_t>(arity);
-      rows[pr].assign(flat.begin() + static_cast<int64_t>(at),
-                      flat.begin() + static_cast<int64_t>(at + ids));
-      at += ids;
+      ids[pr] = need * static_cast<uint64_t>(arity);
+      at += ids[pr];
     }
-    if (at != flat.size()) {
-      return Status::DataLoss("db_rows arena holds " +
-                              std::to_string(flat.size() - at) +
-                              " ids past the last relation");
+    if (sliced.ok() && at != total_ids) {
+      sliced = Status::DataLoss("db_rows arena holds " +
+                                std::to_string(total_ids - at) +
+                                " ids past the last relation");
     }
+
+    // Each relation's rows go straight into its own array, the CRC
+    // streamed across them; a payload the counts cannot slice is only
+    // checksummed.
+    std::vector<std::vector<ConstId>> rows(num_rows->size());
+    uint32_t crc = 0;
+    if (sliced.ok()) {
+      uint64_t offset = rows_entry->offset;
+      for (size_t pr = 0; pr < rows.size(); ++pr) {
+        rows[pr].resize(static_cast<size_t>(ids[pr]));
+        const uint64_t length = ids[pr] * sizeof(ConstId);
+        Status read = ReadChecksummed(
+            source, offset, reinterpret_cast<char*>(rows[pr].data()), length,
+            &crc);
+        if (!read.ok()) return read;
+        offset += length;
+      }
+    } else {
+      Result<uint32_t> streamed =
+          StreamCrc(source, rows_entry->offset, rows_entry->length);
+      if (!streamed.ok()) return streamed.status();
+      crc = *streamed;
+    }
+    if (crc != rows_entry->crc) return ChecksumMismatch(kDbRows);
+    if (!sliced.ok()) return sliced;
     if (facts != meta->total_facts) {
       return Status::DataLoss("meta total_facts disagrees with db_num_rows");
     }
@@ -658,15 +788,15 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
     return Status::DataLoss("meta total_facts nonzero without a database");
   }
 
-  if (parsed->flags & kFlagHasGraph) {
+  if (layout.flags & kFlagHasGraph) {
     Result<std::vector<PredId>> atom_preds = CheckedArray<PredId>(
-        bytes, *parsed, kAtomPredicates, atoms_count, options.context);
+        source, layout, kAtomPredicates, atoms_count, options.context);
     if (!atom_preds.ok()) return atom_preds.status();
     Result<std::vector<int64_t>> atom_offsets = CheckedArray<int64_t>(
-        bytes, *parsed, kAtomOffsets, atoms_count + 1, options.context);
+        source, layout, kAtomOffsets, atoms_count + 1, options.context);
     if (!atom_offsets.ok()) return atom_offsets.status();
     Result<std::vector<ConstId>> atom_args = CheckedArray<ConstId>(
-        bytes, *parsed, kAtomArgs, static_cast<uint64_t>(meta->num_args),
+        source, layout, kAtomArgs, static_cast<uint64_t>(meta->num_args),
         options.context);
     if (!atom_args.ok()) return atom_args.status();
 
@@ -689,27 +819,27 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
     }
 
     Result<std::vector<int32_t>> rule_indices = CheckedArray<int32_t>(
-        bytes, *parsed, kRuleIndices, rules_count, options.context);
+        source, layout, kRuleIndices, rules_count, options.context);
     if (!rule_indices.ok()) return rule_indices.status();
     Result<std::vector<AtomId>> heads = CheckedArray<AtomId>(
-        bytes, *parsed, kRuleHeads, rules_count, options.context);
+        source, layout, kRuleHeads, rules_count, options.context);
     if (!heads.ok()) return heads.status();
     Result<std::vector<int64_t>> pos_ends = CheckedArray<int64_t>(
-        bytes, *parsed, kRulePosEnds, rules_count, options.context);
+        source, layout, kRulePosEnds, rules_count, options.context);
     if (!pos_ends.ok()) return pos_ends.status();
     Result<std::vector<int64_t>> body_offsets = CheckedArray<int64_t>(
-        bytes, *parsed, kRuleBodyOffsets, rules_count + 1, options.context);
+        source, layout, kRuleBodyOffsets, rules_count + 1, options.context);
     if (!body_offsets.ok()) return body_offsets.status();
     Result<std::vector<AtomId>> body = CheckedArray<AtomId>(
-        bytes, *parsed, kRuleBody, static_cast<uint64_t>(meta->num_body),
+        source, layout, kRuleBody, static_cast<uint64_t>(meta->num_body),
         options.context);
     if (!body.ok()) return body.status();
     Result<std::vector<int64_t>> binding_offsets = CheckedArray<int64_t>(
-        bytes, *parsed, kRuleBindingOffsets, rules_count + 1,
+        source, layout, kRuleBindingOffsets, rules_count + 1,
         options.context);
     if (!binding_offsets.ok()) return binding_offsets.status();
     Result<std::vector<ConstId>> bindings = CheckedArray<ConstId>(
-        bytes, *parsed, kRuleBindings,
+        source, layout, kRuleBindings,
         static_cast<uint64_t>(meta->num_bindings), options.context);
     if (!bindings.ok()) return bindings.status();
 
@@ -726,32 +856,74 @@ Result<SnapshotContents> LoadSnapshotFromBuffer(
     return Status::DataLoss("meta graph counts nonzero without a graph");
   }
 
+  if (file_crc != nullptr) *file_crc = FileCrc(layout);
   return contents;
+}
+
+}  // namespace
+
+Result<std::string> SerializeSnapshot(const Program& program,
+                                      const Database* database,
+                                      const GroundGraph* graph,
+                                      const SnapshotWriteOptions& options) {
+  WritePlan plan;
+  Status planned = BuildPlan(program, database, graph, options, &plan);
+  if (!planned.ok()) return planned;
+  std::string out;
+  out.reserve(plan.file_length);
+  for (std::string_view piece : plan.pieces) out.append(piece);
+  return out;
+}
+
+Result<SnapshotFileDigest> WriteSnapshotDurable(
+    const std::string& path, const Program& program, const Database* database,
+    const GroundGraph* graph, const SnapshotWriteOptions& options) {
+  WritePlan plan;
+  Status planned = BuildPlan(program, database, graph, options, &plan);
+  if (!planned.ok()) return planned;
+  Status written = WriteFileDurable(
+      path, Span<std::string_view>(plan.pieces.data(), plan.pieces.size()));
+  if (!written.ok()) return written;
+  return SnapshotFileDigest{plan.file_length, FileCrc(plan.layout)};
 }
 
 Status SaveSnapshot(const std::string& path, const Program& program,
                     const Database* database, const GroundGraph* graph,
                     const SnapshotWriteOptions& options) {
-  Result<std::string> bytes =
-      SerializeSnapshot(program, database, graph, options);
-  if (!bytes.ok()) return bytes.status();
-  return WriteFileAtomic(path, *bytes);
+  WritePlan plan;
+  Status planned = BuildPlan(program, database, graph, options, &plan);
+  if (!planned.ok()) return planned;
+  return WriteFileAtomic(
+      path, Span<std::string_view>(plan.pieces.data(), plan.pieces.size()));
+}
+
+Result<SnapshotContents> LoadSnapshotFromBuffer(
+    std::string_view bytes, const SnapshotReadOptions& options) {
+  return Decode(BufferSource(bytes), options, nullptr);
+}
+
+Result<SnapshotContents> LoadSnapshotFromFile(
+    const ReadOnlyFile& file, const SnapshotReadOptions& options,
+    uint32_t* file_crc) {
+  return Decode(FileSource(file), options, file_crc);
 }
 
 Result<SnapshotContents> LoadSnapshotFile(const std::string& path,
                                           const SnapshotReadOptions& options) {
-  Result<std::string> bytes = ReadFileToString(path);
-  if (!bytes.ok()) return bytes.status();
-  return LoadSnapshotFromBuffer(*bytes, options);
+  Result<ReadOnlyFile> file = ReadOnlyFile::Open(path);
+  if (!file.ok()) return file.status();
+  return LoadSnapshotFromFile(*file, options);
 }
 
-Result<SnapshotInfo> ReadSnapshotInfo(std::string_view bytes) {
-  Result<ParsedFile> parsed = ParseHeaderAndTable(bytes);
+namespace {
+
+Result<SnapshotInfo> Summarize(const ByteSource& source) {
+  Result<Layout> parsed = ParseHeaderAndTable(source);
   if (!parsed.ok()) return parsed.status();
   SnapshotInfo info;
   info.version = parsed->version;
   info.flags = parsed->flags;
-  info.file_length = bytes.size();
+  info.file_length = source.size();
   for (const TableEntry& entry : parsed->entries) {
     SectionInfo section;
     section.kind = entry.kind;
@@ -759,13 +931,17 @@ Result<SnapshotInfo> ReadSnapshotInfo(std::string_view bytes) {
     section.offset = entry.offset;
     section.length = entry.length;
     section.crc = entry.crc;
-    const std::string_view payload = Payload(bytes, entry);
-    section.crc_ok = Crc32c(payload.data(), payload.size()) == entry.crc;
+    Result<uint32_t> crc = StreamCrc(source, entry.offset, entry.length);
+    if (!crc.ok()) return crc.status();
+    section.crc_ok = *crc == entry.crc;
     info.sections.push_back(section);
     if (entry.kind == kMeta && entry.length == kMetaLength) {
       // Diagnostic counts: reported even when the payload CRC fails, so
       // `info` remains useful on a damaged file.
-      Result<Meta> meta = DecodeMeta(payload);
+      char payload[kMetaLength];
+      Status read = source.Read(entry.offset, payload, kMetaLength);
+      if (!read.ok()) return read;
+      Result<Meta> meta = DecodeMeta(std::string_view(payload, kMetaLength));
       if (meta.ok()) {
         info.num_predicates = meta->num_predicates;
         info.num_constants = meta->num_constants;
@@ -779,19 +955,20 @@ Result<SnapshotInfo> ReadSnapshotInfo(std::string_view bytes) {
   return info;
 }
 
+}  // namespace
+
+Result<SnapshotInfo> ReadSnapshotInfo(std::string_view bytes) {
+  return Summarize(BufferSource(bytes));
+}
+
+Result<SnapshotInfo> ReadSnapshotInfo(const ReadOnlyFile& file) {
+  return Summarize(FileSource(file));
+}
+
 Result<uint32_t> SnapshotFileCrc(std::string_view bytes) {
-  Result<ParsedFile> parsed = ParseHeaderAndTable(bytes);
+  Result<Layout> parsed = ParseHeaderAndTable(BufferSource(bytes));
   if (!parsed.ok()) return parsed.status();
-  // Header and table bytes are read; each payload contributes through its
-  // recorded CRC, and the zero padding before it through its own bytes.
-  uint64_t cursor = kHeaderLength + parsed->entries.size() * kTableEntryLength;
-  uint32_t crc = Crc32c(bytes.data(), cursor);
-  for (const TableEntry& entry : parsed->entries) {
-    crc = Crc32c(crc, bytes.data() + cursor, entry.offset - cursor);
-    crc = Crc32cCombine(crc, entry.crc, entry.length);
-    cursor = entry.offset + entry.length;
-  }
-  return crc;
+  return FileCrc(*parsed);
 }
 
 }  // namespace storage

@@ -34,6 +34,17 @@
 // ones, produce a kDataLoss Status rather than a crash, unbounded
 // allocation, or undefined behavior. There is no code path from a bad
 // snapshot to a TIEBREAK_CHECK.
+//
+// I/O. Neither direction stages the file in memory. One write plan — the
+// layout, the zero padding and each section's CRC, computed over the
+// arenas where they live — feeds two sinks: SerializeSnapshot
+// concatenates it into a string, and SaveSnapshot / WriteSnapshotDurable
+// hand it to writev straight from the arenas. One decoder reads from a
+// byte source: a bounds-checked memcpy out of a buffer
+// (LoadSnapshotFromBuffer), or pread from a regular file (the file
+// loaders), each section straight into its destination array and CRC'd
+// there. Files are read with pread, not mmap: a mapped file truncated by
+// another process raises SIGBUS, where a short pread is a kDataLoss.
 #ifndef TIEBREAK_STORAGE_SNAPSHOT_H_
 #define TIEBREAK_STORAGE_SNAPSHOT_H_
 
@@ -47,6 +58,7 @@
 #include "lang/database.h"
 #include "lang/program.h"
 #include "util/execution_context.h"
+#include "util/file_io.h"
 #include "util/status.h"
 
 namespace tiebreak {
@@ -118,6 +130,13 @@ struct SnapshotInfo {
   std::vector<SectionInfo> sections;
 };
 
+/// Length and CRC32C of a snapshot file: the two values a generation's
+/// MANIFEST records for it.
+struct SnapshotFileDigest {
+  uint64_t length = 0;
+  uint32_t crc = 0;
+};
+
 /// Serializes `database` and/or `graph` (either may be null, not both)
 /// into a format-v1 snapshot buffer. `program` supplies the vocabulary
 /// (predicate arities, constant and rule counts) recorded in the file.
@@ -133,14 +152,34 @@ Result<std::string> SerializeSnapshot(
 Result<SnapshotContents> LoadSnapshotFromBuffer(
     std::string_view bytes, const SnapshotReadOptions& options = {});
 
-/// SerializeSnapshot + crash-safe WriteFileAtomic to `path`.
+/// Writes SerializeSnapshot's bytes to `path` crash-safely
+/// (WriteFileAtomic), streamed from the arenas without building them.
 Status SaveSnapshot(const std::string& path, const Program& program,
                     const Database* database, const GroundGraph* graph,
                     const SnapshotWriteOptions& options = {});
 
-/// ReadFileToString + LoadSnapshotFromBuffer.
+/// Writes SerializeSnapshot's bytes to `path`, streamed from the arenas,
+/// with WriteFileDurable (gathered writes + fsync, no rename: the
+/// generation store publishes whole directories). Returns the file's
+/// length and CRC32C, the CRC folded from the section CRCs as
+/// SnapshotFileCrc does. Fails as SerializeSnapshot does, or with the
+/// write's Status (the partial file is removed).
+Result<SnapshotFileDigest> WriteSnapshotDurable(
+    const std::string& path, const Program& program, const Database* database,
+    const GroundGraph* graph, const SnapshotWriteOptions& options = {});
+
+/// Opens `path` as a ReadOnlyFile and loads it (LoadSnapshotFromFile).
 Result<SnapshotContents> LoadSnapshotFile(
     const std::string& path, const SnapshotReadOptions& options = {});
+
+/// LoadSnapshotFromBuffer's decoder reading from an open regular file:
+/// each section is pread straight into its array, and a file that ends
+/// before a read completes is kDataLoss. When `file_crc` is non-null it
+/// receives the file's CRC32C, folded as SnapshotFileCrc does once the
+/// load has verified every section CRC.
+Result<SnapshotContents> LoadSnapshotFromFile(
+    const ReadOnlyFile& file, const SnapshotReadOptions& options = {},
+    uint32_t* file_crc = nullptr);
 
 /// Validates the header and section table of `bytes` and summarizes them,
 /// computing each section's payload-CRC verdict but constructing nothing.
@@ -148,13 +187,18 @@ Result<SnapshotContents> LoadSnapshotFile(
 /// malformed — individual payload corruption is reported per section.
 Result<SnapshotInfo> ReadSnapshotInfo(std::string_view bytes);
 
+/// ReadSnapshotInfo of an open file; each payload's CRC is streamed
+/// through one 64 KiB block.
+Result<SnapshotInfo> ReadSnapshotInfo(const ReadOnlyFile& file);
+
 /// CRC32C of the whole snapshot file `bytes`, derived from its header,
 /// section table and padding bytes and the payload CRCs the table records
 /// — the payloads themselves are not read (Crc32cCombine). It equals
 /// Crc32c(bytes) exactly when every payload matches its recorded CRC:
-/// true of SerializeSnapshot's output, and proven for a buffer by a
-/// successful LoadSnapshotFromBuffer, which is when the generation store
-/// uses it. kDataLoss when the header or table is malformed.
+/// true of SerializeSnapshot's output and of every buffer
+/// LoadSnapshotFromBuffer accepts. The generation store gets the same
+/// fold from WriteSnapshotDurable and LoadSnapshotFromFile. kDataLoss
+/// when the header, table or padding is malformed.
 Result<uint32_t> SnapshotFileCrc(std::string_view bytes);
 
 }  // namespace storage

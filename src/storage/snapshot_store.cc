@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "util/crc32c.h"
 #include "util/file_io.h"
@@ -128,15 +129,20 @@ Result<std::vector<ManifestEntry>> ParseManifest(std::string_view text) {
 
 // Full validation of one generation directory: MANIFEST self-check, the
 // exact file set, per-file sizes, the snapshot load itself, then the
-// snapshot's MANIFEST CRC. That CRC is derived from the section CRCs
-// (SnapshotFileCrc), so it is compared only after the load has verified
-// every one of them: a corrupted snapshot is rejected by its own header,
-// table or section CRC first, and the MANIFEST comparison catches a
-// self-consistent snapshot that is not the one the MANIFEST recorded.
+// snapshot's MANIFEST CRC. Every file is opened as a ReadOnlyFile, so a
+// FIFO, device or directory under a listed name is kDataLoss rather than
+// a reader that blocks or never ends. The snapshot's CRC is derived from
+// the section CRCs (SnapshotFileCrc's fold), so it is compared only after
+// the load has verified every one of them: a corrupted snapshot is
+// rejected by its own header, table or section CRC first, and the
+// MANIFEST comparison catches a self-consistent snapshot that is not the
+// one the MANIFEST recorded.
 Result<SnapshotContents> OpenGeneration(const std::string& dir,
                                         const SnapshotReadOptions& options) {
-  Result<std::string> manifest_text =
-      ReadFileToString(dir + "/" + kManifestFileName);
+  Result<ReadOnlyFile> manifest_file =
+      ReadOnlyFile::Open(dir + "/" + kManifestFileName);
+  if (!manifest_file.ok()) return manifest_file.status();
+  Result<std::string> manifest_text = manifest_file->ReadAll();
   if (!manifest_text.ok()) return manifest_text.status();
   Result<std::vector<ManifestEntry>> entries = ParseManifest(*manifest_text);
   if (!entries.ok()) return entries.status();
@@ -152,21 +158,25 @@ Result<SnapshotContents> OpenGeneration(const std::string& dir,
                             std::string("its manifest"));
   }
 
-  std::string snapshot_bytes;
+  std::optional<ReadOnlyFile> snapshot_file;
   const ManifestEntry* snapshot_entry = nullptr;
   for (const ManifestEntry& entry : *entries) {
-    Result<std::string> bytes = ReadFileToString(dir + "/" + entry.name);
-    if (!bytes.ok()) return bytes.status();
-    if (bytes->size() != entry.length) {
+    Result<ReadOnlyFile> file = ReadOnlyFile::Open(dir + "/" + entry.name);
+    if (!file.ok()) return file.status();
+    if (file->size() != entry.length) {
       return Status::DataLoss(entry.name + " is " +
-                              std::to_string(bytes->size()) +
+                              std::to_string(file->size()) +
                               " bytes, manifest says " +
                               std::to_string(entry.length));
     }
     if (entry.name == kSnapshotFileName) {
       snapshot_entry = &entry;
-      snapshot_bytes = *std::move(bytes);
-    } else if (Crc32c(bytes->data(), bytes->size()) != entry.crc) {
+      snapshot_file.emplace(*std::move(file));
+      continue;
+    }
+    Result<std::string> bytes = file->ReadAll();
+    if (!bytes.ok()) return bytes.status();
+    if (Crc32c(bytes->data(), bytes->size()) != entry.crc) {
       return Status::DataLoss(entry.name + " fails its manifest checksum");
     }
   }
@@ -174,12 +184,11 @@ Result<SnapshotContents> OpenGeneration(const std::string& dir,
     return Status::DataLoss("manifest does not list " +
                             std::string(kSnapshotFileName));
   }
+  uint32_t file_crc = 0;
   Result<SnapshotContents> contents =
-      LoadSnapshotFromBuffer(snapshot_bytes, options);
+      LoadSnapshotFromFile(*snapshot_file, options, &file_crc);
   if (!contents.ok()) return contents.status();
-  Result<uint32_t> file_crc = SnapshotFileCrc(snapshot_bytes);
-  if (!file_crc.ok()) return file_crc.status();
-  if (*file_crc != snapshot_entry->crc) {
+  if (file_crc != snapshot_entry->crc) {
     return Status::DataLoss(std::string(kSnapshotFileName) +
                             " fails its manifest checksum");
   }
@@ -228,24 +237,27 @@ Result<int64_t> SnapshotStore::WriteGeneration(
     if (number >= next) next = number + 1;
   }
 
-  Result<std::string> bytes =
-      SerializeSnapshot(program, database, graph, options);
-  if (!bytes.ok()) return bytes.status();
-  // Folded from the section CRCs SerializeSnapshot just computed; the
-  // payloads are not read again.
-  Result<uint32_t> file_crc = SnapshotFileCrc(*bytes);
-  if (!file_crc.ok()) return file_crc.status();
-
+  // The snapshot streams from the arenas into the staging file; its
+  // MANIFEST length and CRC come back from the writer, the CRC folded from
+  // the section CRCs, so the payloads are not read again.
   const std::string final_name = GenerationName(next);
   const std::string staging = root_ + "/" + kStagingPrefix + final_name;
   Status step = CreateDir(staging);
+  SnapshotFileDigest digest;
   if (step.ok()) {
-    step = WriteFileDurable(staging + "/" + kSnapshotFileName, *bytes);
+    Result<SnapshotFileDigest> written =
+        WriteSnapshotDurable(staging + "/" + kSnapshotFileName, program,
+                             database, graph, options);
+    if (written.ok()) {
+      digest = *written;
+    } else {
+      step = written.status();
+    }
   }
   if (step.ok()) {
     step = WriteFileDurable(
         staging + "/" + kManifestFileName,
-        BuildManifest(kSnapshotFileName, bytes->size(), *file_crc));
+        BuildManifest(kSnapshotFileName, digest.length, digest.crc));
   }
   if (step.ok()) {
     step = RenameDurable(staging, root_ + "/" + final_name);

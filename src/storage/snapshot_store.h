@@ -23,12 +23,16 @@
 // newer generation was skipped. Corrupting the newest generation
 // therefore costs at most that generation, not the store.
 //
-// Each direction checksums the snapshot's bytes once: the writer CRCs
-// every section as it serializes and folds those CRCs into the MANIFEST's
-// whole-file CRC (SnapshotFileCrc); the reader verifies every section CRC
-// during the load and only then derives the whole-file CRC the same way
-// and compares it with the MANIFEST. The value compared is the CRC32C of
-// the file's bytes, exactly as an external tool would compute it.
+// Each direction checksums the snapshot's bytes once and stages none of
+// them in memory: the writer CRCs every section over the arenas, writev's
+// the arenas straight into the staging file (WriteSnapshotDurable) and
+// folds the section CRCs into the MANIFEST's whole-file CRC
+// (SnapshotFileCrc's fold); the reader opens every file as a regular
+// ReadOnlyFile, preads each section straight into its array and verifies
+// its CRC there (LoadSnapshotFromFile), and only then derives the
+// whole-file CRC the same way and compares it with the MANIFEST. The
+// value compared is the CRC32C of the file's bytes, exactly as an
+// external tool would compute it.
 //
 // Concurrency: one writer at a time per root (generation numbering is
 // read-modify-write); concurrent readers are safe since published
@@ -103,6 +107,7 @@ class SnapshotStore {
   std::vector<VerifyReport> VerifyAll(
       const SnapshotReadOptions& options = {}) const;
 
+  /// The store directory this store reads and writes.
   const std::string& root() const { return root_; }
 
  private:

@@ -3,12 +3,15 @@
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 namespace tiebreak {
 
@@ -38,18 +41,36 @@ Status SyncDir(const std::string& dir) {
   return Status::Ok();
 }
 
-// Writes all of `bytes` to `fd` (retrying short writes) and fsyncs.
-Status WriteAndSync(int fd, const std::string& path, std::string_view bytes) {
-  const char* p = bytes.data();
-  size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
+// Writes the concatenation of `pieces` to `fd` and fsyncs: writev takes
+// at most IOV_MAX pieces per call, and a short write resumes inside the
+// piece it stopped in.
+Status WriteAndSync(int fd, const std::string& path,
+                    Span<std::string_view> pieces) {
+  std::vector<struct iovec> iov;
+  iov.reserve(pieces.size());
+  for (std::string_view piece : pieces) {
+    if (piece.empty()) continue;
+    iov.push_back({const_cast<char*>(piece.data()), piece.size()});
+  }
+  size_t next = 0;
+  while (next < iov.size()) {
+    const int count = static_cast<int>(
+        std::min<size_t>(iov.size() - next, IOV_MAX));
+    const ssize_t n = ::writev(fd, iov.data() + next, count);
     if (n < 0) {
       if (errno == EINTR) continue;
       return ErrnoStatus("write", path, errno);
     }
-    p += n;
-    left -= static_cast<size_t>(n);
+    if (n == 0) return Status::Internal("write " + path + ": no progress");
+    size_t done = static_cast<size_t>(n);
+    while (next < iov.size() && done >= iov[next].iov_len) {
+      done -= iov[next].iov_len;
+      ++next;
+    }
+    if (done > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + done;
+      iov[next].iov_len -= done;
+    }
   }
   if (::fsync(fd) != 0) return ErrnoStatus("fsync", path, errno);
   return Status::Ok();
@@ -94,22 +115,96 @@ Result<std::string> ReadFileToString(const std::string& path) {
   return out;
 }
 
-Status WriteFileDurable(const std::string& path, std::string_view bytes) {
+ReadOnlyFile::ReadOnlyFile(int fd, uint64_t size, std::string path)
+    : fd_(fd), size_(size), path_(std::move(path)) {}
+
+ReadOnlyFile::ReadOnlyFile(ReadOnlyFile&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      size_(other.size_),
+      path_(std::move(other.path_)) {}
+
+ReadOnlyFile& ReadOnlyFile::operator=(ReadOnlyFile&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+    size_ = other.size_;
+    path_ = std::move(other.path_);
+  }
+  return *this;
+}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) return ErrnoStatus("open", path, errno);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return ErrnoStatus("fstat", path, err);
+  }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::DataLoss(path + " is not a regular file");
+  }
+  return ReadOnlyFile(fd, static_cast<uint64_t>(st.st_size), path);
+}
+
+Status ReadOnlyFile::ReadAt(uint64_t offset, char* dst, size_t length) const {
+  while (length > 0) {
+    const ssize_t n = ::pread(fd_, dst, length, static_cast<off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("read", path_, errno);
+    }
+    if (n == 0) {
+      return Status::DataLoss(path_ + " ends at byte " +
+                              std::to_string(offset) + ", short of its " +
+                              std::to_string(size_) + "-byte length");
+    }
+    dst += n;
+    offset += static_cast<uint64_t>(n);
+    length -= static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+Result<std::string> ReadOnlyFile::ReadAll() const {
+  std::string out(size_, '\0');
+  Status s = ReadAt(0, out.data(), out.size());
+  if (!s.ok()) return s;
+  return out;
+}
+
+Status WriteFileDurable(const std::string& path,
+                        Span<std::string_view> pieces) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ErrnoStatus("open", path, errno);
-  Status s = WriteAndSync(fd, path, bytes);
+  Status s = WriteAndSync(fd, path, pieces);
   if (::close(fd) != 0 && s.ok()) s = ErrnoStatus("close", path, errno);
   if (!s.ok()) ::unlink(path.c_str());
   return s;
 }
 
+Status WriteFileDurable(const std::string& path, std::string_view bytes) {
+  return WriteFileDurable(path, Span<std::string_view>(&bytes, 1));
+}
+
 Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  return WriteFileAtomic(path, Span<std::string_view>(&bytes, 1));
+}
+
+Status WriteFileAtomic(const std::string& path,
+                       Span<std::string_view> pieces) {
   // The temp file must live in the target directory: rename() is atomic
   // only within one filesystem, and the directory fsync below covers both
   // the unlink of the old name and the link of the new one.
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  Status s = WriteFileDurable(tmp, bytes);
+  Status s = WriteFileDurable(tmp, pieces);
   if (!s.ok()) return s;
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     const int err = errno;

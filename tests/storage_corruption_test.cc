@@ -4,8 +4,15 @@
 // random multi-byte mutations — must either load to content identical to
 // the original (benign) or return a structured non-OK Status. Never a
 // crash, never a CHECK, never undefined behavior (check.sh runs this
-// suite under ASan and UBSan).
+// suite under ASan and UBSan). The file loader reads through its own byte
+// source (pread), so the truncations, bit flips, hostile headers and
+// trailing garbage also go through a file, and both sources must give
+// the same verdict.
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,11 +21,13 @@
 #include "storage/snapshot.h"
 #include "test_util.h"
 #include "util/crc32c.h"
+#include "util/file_io.h"
 #include "util/random.h"
 
 namespace tiebreak {
 namespace {
 
+using storage::LoadSnapshotFile;
 using storage::LoadSnapshotFromBuffer;
 using storage::SerializeSnapshot;
 using storage::SnapshotContents;
@@ -40,6 +49,28 @@ class CorruptionTest : public ::testing::Test {
         SerializeSnapshot(inst_->program, &inst_->database, &ground_->graph);
     ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
     valid_ = *std::move(bytes);
+    const char* base = std::getenv("TMPDIR");
+    file_ = std::string(base != nullptr ? base : "/tmp") +
+            "/tiebreak_corruption_" + std::to_string(::getpid()) + ".tbs";
+  }
+
+  void TearDown() override { std::remove(file_.c_str()); }
+
+  // Loads `bytes` from memory and, written to a file, through the file
+  // source: both must accept, or both must reject with the same code.
+  void ExpectSourcesAgree(const std::string& bytes, const std::string& what) {
+    FILE* out = std::fopen(file_.c_str(), "wb");
+    ASSERT_NE(out, nullptr) << file_;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), out), bytes.size());
+    ASSERT_EQ(std::fclose(out), 0);
+    const Result<SnapshotContents> from_buffer = LoadSnapshotFromBuffer(bytes);
+    const Result<SnapshotContents> from_file = LoadSnapshotFile(file_);
+    ASSERT_EQ(from_buffer.ok(), from_file.ok())
+        << what << ": buffer " << from_buffer.status().ToString()
+        << ", file " << from_file.status().ToString();
+    EXPECT_EQ(from_buffer.status().code(), from_file.status().code())
+        << what << ": buffer " << from_buffer.status().ToString()
+        << ", file " << from_file.status().ToString();
   }
 
   // The sweep's acceptance predicate: mutated bytes must either fail with
@@ -91,6 +122,7 @@ class CorruptionTest : public ::testing::Test {
   std::optional<Instance> inst_;
   std::optional<GroundingResult> ground_;
   std::string valid_;
+  std::string file_;  // scratch file for the file-source sweeps
 };
 
 TEST_F(CorruptionTest, ValidSnapshotLoads) {
@@ -238,28 +270,75 @@ TEST_F(CorruptionTest, BadMagicIsReportedInHex) {
       << loaded.status().message();
 }
 
-TEST_F(CorruptionTest, HostileHeadersNeverCrash) {
-  // Hand-built headers with adversarial counts and lengths: correct magic
-  // and CRCs, hostile everything else.
+// Hand-built headers with adversarial counts and lengths: correct magic
+// and CRCs, hostile everything else.
+std::vector<std::string> HostileHeaders() {
   struct Probe {
     uint32_t section_count;
     uint64_t file_length;
   };
+  std::vector<std::string> headers;
   for (const Probe& probe :
        {Probe{1, 32}, Probe{0xFFFFFFFF, 1u << 20}, Probe{64, 64},
         Probe{14, 0}, Probe{1, 0xFFFFFFFFFFFFFFFFull}}) {
-    std::string bytes;
-    bytes.resize(32, '\0');
-    PutU32At(&bytes, 0, storage::kSnapshotMagic);
-    PutU32At(&bytes, 4, storage::kSnapshotVersion);
-    PutU32At(&bytes, 8, storage::kFlagHasDatabase);
-    PutU32At(&bytes, 12, probe.section_count);
-    PutU32At(&bytes, 16, static_cast<uint32_t>(probe.file_length));
-    PutU32At(&bytes, 20, static_cast<uint32_t>(probe.file_length >> 32));
-    PutU32At(&bytes, 24, 0);
-    FixHeaderCrc(&bytes);
+    std::string bytes(32, '\0');
+    auto put = [&bytes](size_t at, uint32_t v) {
+      for (int i = 0; i < 4; ++i) {
+        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+      }
+    };
+    put(0, storage::kSnapshotMagic);
+    put(4, storage::kSnapshotVersion);
+    put(8, storage::kFlagHasDatabase);
+    put(12, probe.section_count);
+    put(16, static_cast<uint32_t>(probe.file_length));
+    put(20, static_cast<uint32_t>(probe.file_length >> 32));
+    put(24, 0);
+    put(28, Crc32c(bytes.data(), 28));
+    headers.push_back(bytes);
+  }
+  return headers;
+}
+
+TEST_F(CorruptionTest, HostileHeadersNeverCrash) {
+  for (const std::string& bytes : HostileHeaders()) {
     EXPECT_FALSE(LoadSnapshotFromBuffer(bytes).ok());
   }
+}
+
+// The file source against the buffer source, case by case: every
+// truncation, every single-bit flip, the hostile headers and trailing
+// garbage, each written to the scratch file and loaded from there.
+TEST_F(CorruptionTest, FileSourceAgreesWithBufferOnEveryTruncation) {
+  ExpectSourcesAgree(valid_, "the valid snapshot");
+  for (size_t length = 0; length < valid_.size(); ++length) {
+    ExpectSourcesAgree(valid_.substr(0, length),
+                       "truncation to " + std::to_string(length) + " bytes");
+  }
+}
+
+TEST_F(CorruptionTest, FileSourceAgreesWithBufferOnEverySingleBitFlip) {
+  for (size_t bit = 0; bit < valid_.size() * 8; ++bit) {
+    std::string mutated = valid_;
+    mutated[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+    ExpectSourcesAgree(mutated, "bit flip at " + std::to_string(bit));
+  }
+}
+
+TEST_F(CorruptionTest, FileSourceAgreesWithBufferOnHostileHeadersAndGarbage) {
+  for (const std::string& bytes : HostileHeaders()) {
+    ExpectSourcesAgree(bytes, "hostile header");
+  }
+  ExpectSourcesAgree(valid_ + std::string(1, '\0'), "one trailing zero");
+  ExpectSourcesAgree(valid_ + "garbage", "trailing garbage");
+}
+
+TEST_F(CorruptionTest, FileLoadOfNonRegularFilesIsDataLoss) {
+  EXPECT_EQ(LoadSnapshotFile("/dev/zero").status().code(),
+            StatusCode::kDataLoss);
+  const char* base = std::getenv("TMPDIR");
+  EXPECT_EQ(LoadSnapshotFile(base != nullptr ? base : "/tmp").status().code(),
+            StatusCode::kDataLoss);
 }
 
 }  // namespace

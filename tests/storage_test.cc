@@ -5,6 +5,10 @@
 // publish crash-safely and recover newest-first.
 #include "storage/snapshot.h"
 
+#include <sys/stat.h>
+
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -549,6 +553,147 @@ TEST(SnapshotStoreTest, ForeignFilesInGenerationAreDataLoss) {
       WriteFileDurable(root + "/gen-00000001/extra.bin", "x").ok());
   EXPECT_EQ(store.LoadLatest().status().code(), StatusCode::kDataLoss);
   EXPECT_TRUE(RemoveAll(root).ok());
+}
+
+TEST(SnapshotStoreTest, SnapshotLengthOtherThanTheManifestsIsDataLoss) {
+  const std::string root = TestTempDir("tiebreak_store_length") + "/snaps";
+  Instance inst = ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                "move(a, b). move(b, c).");
+  const GroundingResult g = GroundOrDie(inst);
+  SnapshotStore store(root);
+  ASSERT_TRUE(
+      store.WriteGeneration(inst.program, &inst.database, &g.graph).ok());
+  const std::string snap = root + "/gen-00000001/snapshot.tbs";
+  Result<std::string> original = ReadFileToString(snap);
+  ASSERT_TRUE(original.ok());
+  for (const std::string& changed :
+       {*original + "x", original->substr(0, original->size() - 1)}) {
+    ASSERT_TRUE(WriteFileAtomic(snap, changed).ok());
+    Result<std::vector<SnapshotStore::Generation>> generations =
+        store.ListGenerations();
+    ASSERT_TRUE(generations.ok());
+    const Status verdict = store.VerifyGeneration((*generations)[0]);
+    EXPECT_EQ(verdict.code(), StatusCode::kDataLoss) << verdict.ToString();
+    EXPECT_NE(verdict.message().find("manifest says"), std::string::npos)
+        << verdict.ToString();
+  }
+  EXPECT_TRUE(RemoveAll(root).ok());
+}
+
+TEST(SnapshotStoreTest, FifoInAGenerationFallsBackPromptly) {
+  // A FIFO under either file name of the newest generation: a reader that
+  // opened it blocking would wait for a writer forever. It must be
+  // refused as not a regular file, and recovery must fall back.
+  for (const char* name : {"MANIFEST", "snapshot.tbs"}) {
+    const std::string root = TestTempDir("tiebreak_store_fifo") + "/snaps";
+    Instance inst = ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                  "move(a, b). move(b, c).");
+    const GroundingResult g = GroundOrDie(inst);
+    SnapshotStore store(root);
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(
+          store.WriteGeneration(inst.program, &inst.database, &g.graph).ok());
+    }
+    const std::string path = root + "/gen-00000002/" + name;
+    ASSERT_TRUE(RemoveAll(path).ok());
+    ASSERT_EQ(::mkfifo(path.c_str(), 0644), 0) << path;
+
+    Result<SnapshotStore::LoadedGeneration> latest = store.LoadLatest();
+    ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+    EXPECT_EQ(latest->generation, 1) << name;
+    ASSERT_EQ(latest->skipped.size(), 1u) << name;
+    EXPECT_NE(latest->skipped[0].find("not a regular file"),
+              std::string::npos)
+        << latest->skipped[0];
+    Result<std::vector<SnapshotStore::Generation>> generations =
+        store.ListGenerations();
+    ASSERT_TRUE(generations.ok());
+    EXPECT_EQ(store.VerifyGeneration((*generations)[1]).code(),
+              StatusCode::kDataLoss)
+        << name;
+    EXPECT_TRUE(RemoveAll(root).ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The streaming writer.
+// ---------------------------------------------------------------------------
+
+// `n` EDB predicates holding one fact each, and one rule reading each:
+// the db_rows section alone is `n` pieces, more than one writev takes.
+Instance WideInstance(int n) {
+  std::string program;
+  std::string facts;
+  for (int i = 0; i < n; ++i) {
+    const std::string id = std::to_string(i);
+    program += "r" + id + "(X) :- e" + id + "(X), not r" + id + "(X).\n";
+    facts += "e" + id + "(c" + id + ").\n";
+  }
+  return ParseInstance(program, facts);
+}
+
+TEST(SnapshotStreamTest, StoreFileEqualsSerializedBytes) {
+  const std::string root = TestTempDir("tiebreak_store_stream") + "/snaps";
+  std::vector<Instance> instances;
+  instances.push_back(ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                    "move(a, b). move(b, c). move(c, a)."));
+  instances.push_back(WideInstance(1100));
+  ASSERT_GT(instances[1].database.TotalFacts(), IOV_MAX);
+  SnapshotStore store(root);
+  int64_t generation = 0;
+  for (const Instance& inst : instances) {
+    const GroundingResult g = GroundOrDie(inst);
+    const Database* databases[] = {&inst.database, &inst.database, nullptr};
+    const GroundGraph* graphs[] = {&g.graph, nullptr, &g.graph};
+    for (int mode = 0; mode < 3; ++mode) {
+      Result<std::string> expected =
+          SerializeSnapshot(inst.program, databases[mode], graphs[mode]);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      Result<int64_t> written =
+          store.WriteGeneration(inst.program, databases[mode], graphs[mode]);
+      ASSERT_TRUE(written.ok()) << written.status().ToString();
+      EXPECT_EQ(*written, ++generation);
+      char name[32];
+      std::snprintf(name, sizeof(name), "/gen-%08lld",
+                    static_cast<long long>(*written));
+      const std::string dir = root + name;
+      Result<std::string> bytes = ReadFileToString(dir + "/snapshot.tbs");
+      ASSERT_TRUE(bytes.ok());
+      EXPECT_TRUE(*bytes == *expected)
+          << "generation " << *written << ": " << bytes->size()
+          << " bytes on disk, " << expected->size() << " serialized";
+      EXPECT_EQ(ManifestSnapshotCrc(dir), Crc32c(*expected));
+    }
+  }
+  SnapshotReadOptions read;
+  read.program = &instances[1].program;
+  Result<SnapshotStore::LoadedGeneration> latest = store.LoadLatest(read);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(latest->generation, generation);
+  EXPECT_TRUE(RemoveAll(root).ok());
+}
+
+TEST(SnapshotStreamTest, SaveLoadFileRoundTripPastIovMax) {
+  const std::string dir = TestTempDir("tiebreak_snapshot_wide");
+  const Instance inst = WideInstance(1100);
+  const GroundingResult g = GroundOrDie(inst);
+  const std::string path = dir + "/wide.tbs";
+  ASSERT_TRUE(
+      storage::SaveSnapshot(path, inst.program, &inst.database, &g.graph)
+          .ok());
+  Result<std::string> expected =
+      SerializeSnapshot(inst.program, &inst.database, &g.graph);
+  ASSERT_TRUE(expected.ok());
+  Result<std::string> bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(*bytes == *expected);
+  SnapshotReadOptions read;
+  read.program = &inst.program;
+  Result<SnapshotContents> loaded = storage::LoadSnapshotFile(path, read);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(*loaded->database == inst.database);
+  ExpectGraphsEqual(*loaded->graph, g.graph);
+  EXPECT_TRUE(RemoveAll(dir).ok());
 }
 
 }  // namespace

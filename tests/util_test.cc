@@ -1,5 +1,8 @@
 // Tests for the util substrate: Status/Result, the deterministic PRNG,
 // string helpers, the wall timer, CRC32C, and the durable file helpers.
+#include <sys/stat.h>
+
+#include <climits>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -243,6 +246,69 @@ TEST(FileIoTest, RemoveAllHandlesTreesAndAbsentPaths) {
   EXPECT_TRUE(RemoveAll(dir).ok());
   EXPECT_FALSE(PathExists(dir));
   EXPECT_TRUE(RemoveAll(dir).ok());  // already gone: still OK
+}
+
+TEST(FileIoTest, GatheredWritePastIovMax) {
+  // More pieces than one writev takes, of uneven sizes and with empty
+  // ones among them: the file is their concatenation.
+  const std::string dir = TestTempDir("tiebreak_file_io_gather");
+  std::vector<std::string> storage;
+  for (int i = 0; i < 3 * IOV_MAX + 7; ++i) {
+    storage.push_back(std::string(static_cast<size_t>(i % 5),
+                                  static_cast<char>('a' + i % 26)));
+  }
+  std::vector<std::string_view> pieces(storage.begin(), storage.end());
+  std::string expected;
+  for (const std::string& piece : storage) expected += piece;
+  const Span<std::string_view> span(pieces.data(), pieces.size());
+  ASSERT_TRUE(WriteFileDurable(dir + "/durable", span).ok());
+  ASSERT_TRUE(WriteFileAtomic(dir + "/atomic", span).ok());
+  for (const char* name : {"/durable", "/atomic"}) {
+    Result<std::string> read = ReadFileToString(dir + name);
+    ASSERT_TRUE(read.ok());
+    EXPECT_TRUE(*read == expected) << name;
+  }
+  EXPECT_TRUE(RemoveAll(dir).ok());
+}
+
+TEST(FileIoTest, ReadOnlyFileReadsAtOffsetsAndReportsShortReads) {
+  const std::string dir = TestTempDir("tiebreak_file_io_pread");
+  const std::string path = dir + "/data.bin";
+  ASSERT_TRUE(WriteFileDurable(path, "0123456789").ok());
+  Result<ReadOnlyFile> file = ReadOnlyFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file->size(), 10u);
+  char buffer[4];
+  ASSERT_TRUE(file->ReadAt(3, buffer, 4).ok());
+  EXPECT_EQ(std::string(buffer, 4), "3456");
+  Result<std::string> all = file->ReadAll();
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(*all, "0123456789");
+  // Past the end, and a file that shrinks under an open reader.
+  EXPECT_EQ(file->ReadAt(8, buffer, 4).code(), StatusCode::kDataLoss);
+  ASSERT_TRUE(WriteFileDurable(path, "01").ok());
+  EXPECT_EQ(file->ReadAll().status().code(), StatusCode::kDataLoss);
+  const ReadOnlyFile moved = *std::move(file);
+  EXPECT_EQ(moved.size(), 10u);
+  EXPECT_EQ(ReadOnlyFile::Open(dir + "/absent").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(RemoveAll(dir).ok());
+}
+
+TEST(FileIoTest, ReadOnlyFileRefusesNonRegularFiles) {
+  // A FIFO would block a plain open until a writer came; a device or a
+  // directory is never a store file either.
+  const std::string dir = TestTempDir("tiebreak_file_io_special");
+  const std::string fifo = dir + "/fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0644), 0);
+  for (const std::string& path : {fifo, dir, std::string("/dev/zero")}) {
+    Result<ReadOnlyFile> file = ReadOnlyFile::Open(path);
+    EXPECT_EQ(file.status().code(), StatusCode::kDataLoss) << path;
+    EXPECT_NE(file.status().message().find("not a regular file"),
+              std::string::npos)
+        << file.status().ToString();
+  }
+  EXPECT_TRUE(RemoveAll(dir).ok());
 }
 
 TEST(FileIoTest, ListDirSortsNames) {

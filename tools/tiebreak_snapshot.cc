@@ -98,9 +98,9 @@ int RunVerify(int argc, char** argv) {
 
 int RunInfo(int argc, char** argv) {
   if (argc < 3) return Usage();
-  Result<std::string> bytes = ReadFileToString(argv[2]);
-  if (!bytes.ok()) return Fail(bytes.status());
-  Result<storage::SnapshotInfo> info = storage::ReadSnapshotInfo(*bytes);
+  Result<ReadOnlyFile> file = ReadOnlyFile::Open(argv[2]);
+  if (!file.ok()) return Fail(file.status());
+  Result<storage::SnapshotInfo> info = storage::ReadSnapshotInfo(*file);
   if (!info.ok()) return Fail(info.status());
   std::printf("format version %u, flags 0x%x, %" PRIu64 " bytes\n",
               info->version, info->flags, info->file_length);
